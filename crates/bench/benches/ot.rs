@@ -12,10 +12,28 @@ use rand::SeedableRng;
 fn bench_ot(c: &mut Criterion) {
     let mut group = c.benchmark_group("ot");
     group.sample_size(10);
+    // Built once: the group's Montgomery context and, on first use, its
+    // per-process generator table stay outside every timed closure.
+    let group_dh = DhGroup::modp_768();
+
+    let mut rng = StdRng::seed_from_u64(5);
+    let x = group_dh.random_exponent(&mut rng);
+    let (_, base) = group_dh.random_keypair(&mut rng);
+    group.bench_function("modexp_fixed_base", |bench| {
+        bench.iter(|| group_dh.pow(group_dh.generator(), &x));
+    });
+    group.bench_function("modexp_var_base", |bench| {
+        bench.iter(|| group_dh.pow(&base, &x));
+    });
+    let batch: Vec<_> = (0..128)
+        .map(|_| group_dh.random_keypair(&mut rng).1)
+        .collect();
+    group.bench_function("batch_invert_128", |bench| {
+        bench.iter(|| group_dh.div_batch(&base, &batch));
+    });
 
     group.bench_function("base_ot_setup_128", |bench| {
         bench.iter(|| {
-            let group_dh = DhGroup::modp_768();
             let (mut ca, mut cb) = mem_pair();
             let g2 = group_dh.clone();
             let handle = std::thread::spawn(move || {
@@ -33,7 +51,6 @@ fn bench_ot(c: &mut Criterion) {
     group.throughput(Throughput::Elements(n as u64));
     group.bench_function("iknp_extension_4096", |bench| {
         // One-time setup outside the timed loop.
-        let group_dh = DhGroup::modp_768();
         let (mut ca, mut cb) = mem_pair();
         let g2 = group_dh.clone();
         let handle = std::thread::spawn(move || {

@@ -1,6 +1,19 @@
+use std::sync::OnceLock;
+
 use rand::Rng;
 
+use crate::mont::FixedBase;
 use crate::{Mont, Ubig};
+
+/// Digit width of the generator's fixed-base comb table: `2^6 − 1`
+/// entries per 6-bit window, 774 KB for modp-768.
+const FIXED_BASE_WINDOW: usize = 6;
+
+/// Per-process generator tables, one per named group, built on first use
+/// and shared by every clone of every `DhGroup` of that name.
+static MODP_768_G: OnceLock<FixedBase> = OnceLock::new();
+static MODP_1536_G: OnceLock<FixedBase> = OnceLock::new();
+static MODP_2048_G: OnceLock<FixedBase> = OnceLock::new();
 
 /// RFC 3526 group 5 (1536-bit MODP) prime.
 const MODP_1536: &str = "
@@ -36,7 +49,12 @@ const MODP_768: &str = "
     E485B576 625E7EC6 F44C42E9 A63A3620 FFFFFFFF FFFFFFFF";
 
 /// A Diffie-Hellman group `(p, g)` with a Montgomery context for fast
-/// exponentiation; the arithmetic substrate of the Naor-Pinkas base OT.
+/// exponentiation; the arithmetic substrate of the Bellare–Micali base OT
+/// (`deepsecure_ot::base`).
+///
+/// Powers of the generator use a fixed-base comb table (built once per
+/// process for each named group), every other base the windowed
+/// [`Mont::pow`]; both give exactly `base^exp mod p`.
 ///
 /// # Example
 ///
@@ -56,31 +74,37 @@ pub struct DhGroup {
     mont: Mont,
     generator: Ubig,
     name: &'static str,
+    generator_table: &'static OnceLock<FixedBase>,
 }
 
 impl DhGroup {
-    /// The RFC 3526 1536-bit MODP group (generator 2); the default for the
-    /// base OT.
+    /// The RFC 3526 1536-bit MODP group (generator 2).
     pub fn modp_1536() -> DhGroup {
-        DhGroup::from_hex_prime(MODP_1536, "modp-1536")
+        DhGroup::from_hex_prime(MODP_1536, "modp-1536", &MODP_1536_G)
     }
 
     /// The RFC 3526 2048-bit MODP group (generator 2).
     pub fn modp_2048() -> DhGroup {
-        DhGroup::from_hex_prime(MODP_2048, "modp-2048")
+        DhGroup::from_hex_prime(MODP_2048, "modp-2048", &MODP_2048_G)
     }
 
-    /// The RFC 2409 768-bit MODP group (generator 2); intended for tests.
+    /// The RFC 2409 768-bit MODP group (generator 2); the base-OT group of
+    /// the default `InferenceConfig`.
     pub fn modp_768() -> DhGroup {
-        DhGroup::from_hex_prime(MODP_768, "modp-768")
+        DhGroup::from_hex_prime(MODP_768, "modp-768", &MODP_768_G)
     }
 
-    fn from_hex_prime(hex: &str, name: &'static str) -> DhGroup {
+    fn from_hex_prime(
+        hex: &str,
+        name: &'static str,
+        generator_table: &'static OnceLock<FixedBase>,
+    ) -> DhGroup {
         let p = Ubig::from_hex(hex).expect("baked-in prime parses");
         DhGroup {
             mont: Mont::new(p).expect("MODP primes are odd"),
             generator: Ubig::from(2u64),
             name,
+            generator_table,
         }
     }
 
@@ -99,8 +123,19 @@ impl DhGroup {
         self.name
     }
 
-    /// Modular exponentiation `base^exp mod p`.
+    /// Modular exponentiation `base^exp mod p`. Powers of the generator
+    /// with exponents below `2^bits(p)` take the fixed-base table.
     pub fn pow(&self, base: &Ubig, exp: &Ubig) -> Ubig {
+        if *base == self.generator {
+            let table = self.generator_table.get_or_init(|| {
+                let bits = self.prime().bit_len();
+                self.mont
+                    .fixed_base(&self.generator, bits, FIXED_BASE_WINDOW)
+            });
+            if let Some(gx) = self.mont.pow_fixed(table, exp) {
+                return gx;
+            }
+        }
         self.mont.pow(base, exp)
     }
 
@@ -114,6 +149,13 @@ impl DhGroup {
         let p_minus_2 = &(self.prime() - &Ubig::one()) - &Ubig::one();
         let inv = self.mont.pow(b, &p_minus_2);
         self.mont.mul(a, &inv)
+    }
+
+    /// `a * b_i^{-1} mod p` for every `b_i`: equal to [`DhGroup::div`]
+    /// element by element, but sharing one Fermat inversion across the
+    /// batch (Montgomery's trick).
+    pub fn div_batch(&self, a: &Ubig, bs: &[Ubig]) -> Vec<Ubig> {
+        self.mont.div_batch(a, bs)
     }
 
     /// Samples a private exponent `x ∈ [2, p-2]` — the cheap half of
@@ -199,6 +241,51 @@ mod tests {
         let bytes = group.element_to_bytes(&gx);
         assert_eq!(bytes.len(), group.element_len());
         assert_eq!(group.element_from_bytes(&bytes), gx);
+    }
+
+    #[test]
+    fn fixed_base_pow_matches_variable_base() {
+        let named: [(fn() -> DhGroup, usize); 2] =
+            [(DhGroup::modp_768, 8), (DhGroup::modp_2048, 2)];
+        for (make, cases) in named {
+            let group = make();
+            let mut rng = StdRng::seed_from_u64(14);
+            let g = group.generator();
+            let p_minus_1 = group.prime() - &Ubig::one();
+            // p−1·8 is wider than the table and takes the variable-base path.
+            let mut exps = vec![Ubig::ZERO, Ubig::one(), p_minus_1.clone(), p_minus_1.shl(3)];
+            exps.extend((0..cases).map(|_| group.random_exponent(&mut rng)));
+            for x in &exps {
+                assert_eq!(group.pow(g, x), group.mont.pow(g, x), "{}", group.name());
+            }
+            assert!(
+                make().generator_table.get().is_some(),
+                "a new instance of the group reuses the table already built"
+            );
+        }
+    }
+
+    #[test]
+    fn div_batch_matches_per_element_div() {
+        let group = DhGroup::modp_768();
+        let mut rng = StdRng::seed_from_u64(15);
+        let (_, a) = group.random_keypair(&mut rng);
+        for len in [0usize, 1, 2, 5, 33] {
+            let bs: Vec<Ubig> = (0..len).map(|_| group.random_keypair(&mut rng).1).collect();
+            let want: Vec<Ubig> = bs.iter().map(|b| group.div(&a, b)).collect();
+            assert_eq!(group.div_batch(&a, &bs), want, "batch of {len}");
+        }
+        // Zero and out-of-range elements behave exactly like `div`.
+        let p = group.prime().clone();
+        let odd = vec![
+            Ubig::ZERO,
+            group.random_keypair(&mut rng).1,
+            p.clone(),
+            &p + &Ubig::from(7u64),
+            p.shl(1),
+        ];
+        let want: Vec<Ubig> = odd.iter().map(|b| group.div(&a, b)).collect();
+        assert_eq!(group.div_batch(&a, &odd), want);
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //!
 //! * [`Ubig`] — an arbitrary-precision unsigned integer over 64-bit limbs
 //!   with schoolbook multiplication and binary long division.
-//! * [`Mont`] — a Montgomery (CIOS) multiplication context providing fast
-//!   `modpow` for odd moduli.
-//! * [`DhGroup`] — named groups: RFC 3526 1536/2048-bit, the RFC 2409
-//!   768-bit group for tests, and a tiny 64-bit toy group for property
-//!   tests.
+//! * [`Mont`] — a Montgomery (CIOS) multiplication context providing
+//!   allocation-free products and fixed-window `modpow` for odd moduli.
+//! * [`DhGroup`] — named groups: RFC 3526 1536/2048-bit and the RFC 2409
+//!   768-bit group (the default base-OT group), with fixed-base tables for
+//!   powers of the generator and batched inversion.
 //!
 //! # Example
 //!

@@ -643,7 +643,9 @@ impl ClientSession {
     }
 
     /// Runs the one-time base-OT setup (IKNP sender side), generating the
-    /// keypairs on the spot.
+    /// keypairs on the spot. The reported set-up span (and the
+    /// `client.base_ot` telemetry span) covers that keygen too, as the
+    /// `client.base_ot.keygen` child span.
     ///
     /// # Errors
     ///
@@ -653,9 +655,14 @@ impl ClientSession {
         chan: &mut C,
         epoch: Instant,
     ) -> Result<ClientSetup, ProtocolError> {
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xa11ce);
-        let pre = SenderPrecomp::generate_with(&self.cfg.group, &mut rng, self.cfg.pool());
-        self.setup_with(chan, pre, epoch)
+        let start_s = epoch.elapsed().as_secs_f64();
+        let _s = telemetry::span!("client.base_ot");
+        let pre = {
+            let _k = telemetry::span!("client.base_ot.keygen");
+            let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xa11ce);
+            SenderPrecomp::generate_with(&self.cfg.group, &mut rng, self.cfg.pool())
+        };
+        self.base_ot_flights(chan, pre, epoch, start_s)
     }
 
     /// Runs the base-OT setup with offline-generated [`SenderPrecomp`]
@@ -672,6 +679,18 @@ impl ClientSession {
     ) -> Result<ClientSetup, ProtocolError> {
         let start_s = epoch.elapsed().as_secs_f64();
         let _s = telemetry::span!("client.base_ot");
+        self.base_ot_flights(chan, pre, epoch, start_s)
+    }
+
+    /// The three base-OT flights of a set-up whose reported span began at
+    /// `start_s`; the caller holds the `client.base_ot` span.
+    fn base_ot_flights<C: Channel>(
+        &self,
+        chan: &mut C,
+        pre: SenderPrecomp,
+        epoch: Instant,
+        start_s: f64,
+    ) -> Result<ClientSetup, ProtocolError> {
         let sent0 = chan.bytes_sent();
         let recv0 = chan.bytes_received();
         let ot = ExtSender::setup_with_pool(chan, pre, self.cfg.pool())?;
@@ -1319,6 +1338,9 @@ mod tests {
         let mut cc = SimChannel::new(cc, NetModel::ideal());
         let mut cs = SimChannel::new(cs, NetModel::ideal());
         let epoch = Instant::now();
+        let epoch_us = telemetry::span::now_us();
+        telemetry::set_enabled(true);
+        telemetry::span!("test.client_thread").end();
 
         let counted_before = wire_metrics::BASE_OT.get();
         let server = ServerSession::new(Arc::clone(&compiled), &cfg);
@@ -1329,6 +1351,29 @@ mod tests {
         let client = ClientSession::new(Arc::clone(&compiled), &cfg);
         let setup = client.setup(&mut cc, epoch).unwrap();
         let (server_bytes, server_turnarounds) = handle.join().unwrap();
+
+        // Keygen runs inline here, so the reported set-up span must cover
+        // this thread's `client.base_ot.keygen` span (clock alignment
+        // between `epoch` and the telemetry epoch is within microseconds).
+        telemetry::set_enabled(false);
+        let events = telemetry::drain();
+        let tid = events
+            .iter()
+            .find(|e| e.name == "test.client_thread")
+            .map(|e| e.tid);
+        let keygen = events
+            .iter()
+            .rfind(|e| e.name == "client.base_ot.keygen" && Some(e.tid) == tid)
+            .expect("inline keygen is traced on the client thread");
+        let keygen_start_s = (keygen.start_us - epoch_us) as f64 / 1e6;
+        let keygen_end_s = keygen_start_s + keygen.dur_us as f64 / 1e6;
+        let slack_s = 50e-6;
+        assert!(
+            setup.span.start_s <= keygen_start_s + slack_s
+                && keygen_end_s <= setup.span.end_s + slack_s,
+            "set-up span {:?} must cover keygen [{keygen_start_s}, {keygen_end_s}]",
+            setup.span
+        );
 
         // Batched base OT is three one-way flights. Each flight is received
         // exactly once, and on a strictly alternating link every receive is

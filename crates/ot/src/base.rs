@@ -23,6 +23,13 @@
 //! ≈ 10 s in pure latency. The batched protocol costs the same bytes in
 //! three one-way flights (≈ 1.5 RTT) regardless of the transfer count.
 //!
+//! Both parties range-check every group element the peer sends (`PK_0`,
+//! `C` and every `g^r`, chosen branch or not) and fail with
+//! [`OtError::Protocol`] on 0 or anything ≥ `p`. The divisions by `PK_0`
+//! and by the chosen `g^{k_i}` share one batched inversion per flight
+//! ([`DhGroup::div_batch`]); powers of `g` use the group's fixed-base
+//! table. Neither changes a byte on the wire.
+//!
 //! The receiver's keypairs `(k_i, g^{k_i})` are independent of both the
 //! peer and the choice bits' messages, so [`ReceiverKeys::generate`] lets
 //! callers hoist those modular exponentiations out of the connection's
@@ -97,6 +104,11 @@ impl ReceiverKeys {
     }
 }
 
+/// Whether a peer-supplied element is a group element, i.e. in `[1, p)`.
+fn in_group(group: &DhGroup, e: &Ubig) -> bool {
+    !e.is_zero() && e < group.prime()
+}
+
 /// Runs the sender side for `pairs.len()` base OTs (three flights total).
 ///
 /// # Errors
@@ -112,9 +124,10 @@ pub fn send<C: Channel, R: Rng + ?Sized>(
 }
 
 /// [`send`] with the per-transfer modexps (two encryptions × two
-/// exponentiations each, plus the `PK_1` inversion) fanned out across
-/// `pool`. All randomness is drawn in the same order as the sequential
-/// path, so the wire transcript is byte-identical for the same seed.
+/// exponentiations each) fanned out across `pool`; the `PK_1` divisions
+/// share one batched inversion beforehand. All randomness is drawn in
+/// the same order as the sequential path, so the wire transcript is
+/// byte-identical for the same seed.
 ///
 /// # Errors
 ///
@@ -135,7 +148,7 @@ pub fn send_with_pool<C: Channel, R: Rng + ?Sized>(
     let mut pk0s = Vec::with_capacity(pairs.len());
     for i in 0..pairs.len() {
         let pk0 = group.element_from_bytes(&pk_flight[i * elem..(i + 1) * elem]);
-        if pk0.is_zero() || pk0 >= *group.prime() {
+        if !in_group(group, &pk0) {
             return Err(OtError::Protocol(format!("public key {i} out of range")));
         }
         pk0s.push(pk0);
@@ -145,15 +158,15 @@ pub fn send_with_pool<C: Channel, R: Rng + ?Sized>(
     let exps: Vec<Ubig> = (0..pairs.len() * 2)
         .map(|_| group.random_exponent(rng))
         .collect();
+    // Every PK_1 = C / PK_0 from one shared inversion.
+    let pk1s = group.div_batch(&big_c, &pk0s);
     // One flight carrying both ciphertexts of every transfer. Each
     // transfer's segment is independent, so the pool builds them in
     // parallel and we concatenate in order.
     let segments = pool.map(pairs.len(), 1, |i| {
         let (m0, m1) = &pairs[i];
-        let pk0 = &pk0s[i];
-        let pk1 = group.div(&big_c, pk0);
         let mut seg = Vec::with_capacity(2 * (elem + 16));
-        for (b, (pk, msg)) in [(0u64, (pk0, m0)), (1, (&pk1, m1))] {
+        for (b, (pk, msg)) in [(0u64, (&pk0s[i], m0)), (1, (&pk1s[i], m1))] {
             let r = &exps[2 * i + b as usize];
             let gr = group.pow(group.generator(), r);
             let shared = group.pow(pk, r);
@@ -190,8 +203,8 @@ pub fn receive_with<C: Channel>(
     receive_with_pool(channel, choices, keys, ThreadPool::sequential())
 }
 
-/// [`receive_with`] with the online modexps — the `PK_0` derivations and
-/// the chosen-branch decryptions — fanned out across `pool`. The wire
+/// [`receive_with`] with the chosen-branch decryptions fanned out across
+/// `pool` (the `PK_0` derivations share one batched inversion). The wire
 /// transcript is byte-identical to the sequential path's.
 ///
 /// # Errors
@@ -216,33 +229,46 @@ pub fn receive_with_pool<C: Channel>(
     let hash = FixedKeyHash::new();
     let elem = group.element_len();
     let big_c = group.element_from_bytes(&channel.recv(elem)?);
-    // Every PK_0 in one flight. Chosen transfers invert g^k (one modexp
-    // via Fermat); these are independent per transfer.
-    let pk0s = pool.map(choices.len(), 1, |i| {
-        let gk = &keys.keys[i].1;
-        if choices[i] {
-            group.div(&big_c, gk)
-        } else {
-            gk.clone()
-        }
-    });
+    if !in_group(group, &big_c) {
+        return Err(OtError::Protocol("sender's C out of range".into()));
+    }
+    // Every PK_0 in one flight. Chosen transfers send C / g^k; one
+    // batched inversion covers all of them.
+    let chosen: Vec<Ubig> = (0..choices.len())
+        .filter(|&i| choices[i])
+        .map(|i| keys.keys[i].1.clone())
+        .collect();
+    let mut inverted = group.div_batch(&big_c, &chosen).into_iter();
     let mut pk_flight = Vec::with_capacity(choices.len() * elem);
-    for pk0 in &pk0s {
-        pk_flight.extend_from_slice(&group.element_to_bytes(pk0));
+    for (&sigma, (_, gk)) in choices.iter().zip(&keys.keys) {
+        let pk0 = if sigma { inverted.next() } else { None };
+        pk_flight.extend_from_slice(&group.element_to_bytes(pk0.as_ref().unwrap_or(gk)));
     }
     channel.send(&pk_flight)?;
     // Both ciphertexts of every transfer in one flight; decrypt only the
-    // chosen branch.
+    // chosen branch. Every g^r is range-checked, chosen or not, so whether
+    // the receiver aborts never depends on its choice bits.
     let per_branch = elem + 16;
     let cts = channel.recv(choices.len() * 2 * per_branch)?;
+    let grs: Vec<Ubig> = cts
+        .chunks_exact(per_branch)
+        .map(|ct| group.element_from_bytes(&ct[..elem]))
+        .collect();
+    if let Some(j) = grs.iter().position(|gr| !in_group(group, gr)) {
+        return Err(OtError::Protocol(format!(
+            "ciphertext {} branch {} out of range",
+            j / 2,
+            j % 2
+        )));
+    }
     let out = pool.map(choices.len(), 1, |i| {
         let sigma = choices[i];
         let k = &keys.keys[i].0;
         let off = (2 * i + usize::from(sigma)) * per_branch;
-        let gr = group.element_from_bytes(&cts[off..off + elem]);
+        let gr = &grs[2 * i + usize::from(sigma)];
         let mut ct_arr = [0u8; 16];
         ct_arr.copy_from_slice(&cts[off + elem..off + per_branch]);
-        let shared = group.pow(&gr, k);
+        let shared = group.pow(gr, k);
         let mask = hash.hash_bytes(
             &group.element_to_bytes(&shared),
             (i as u64) << 1 | u64::from(sigma),
@@ -474,6 +500,58 @@ mod tests {
             ciphertext_flight(ThreadPool::sequential()),
             ciphertext_flight(ThreadPool::new(4))
         );
+    }
+
+    /// Runs a receiver against a scripted sender: `c` is sent as the
+    /// first flight and, if the receiver answers, `cts` as the last.
+    fn receive_from_script(c: &Ubig, cts: Vec<u8>) -> OtError {
+        let group = DhGroup::modp_768();
+        let choices = [true, false];
+        let (mut ca, mut cb) = mem_pair();
+        let g2 = group.clone();
+        let c = c.clone();
+        let peer = std::thread::spawn(move || {
+            ca.send(&g2.element_to_bytes(&c)).unwrap();
+            if ca.recv(2 * g2.element_len()).is_ok() {
+                ca.send(&cts).unwrap();
+            }
+        });
+        let mut rng = StdRng::seed_from_u64(3);
+        let err = receive(&mut cb, &group, &choices, &mut rng).unwrap_err();
+        drop(cb);
+        peer.join().unwrap();
+        err
+    }
+
+    #[test]
+    fn receiver_rejects_out_of_range_sender_elements() {
+        let group = DhGroup::modp_768();
+        let p = group.prime().clone();
+        for c in [Ubig::ZERO, p.clone()] {
+            let err = receive_from_script(&c, Vec::new());
+            assert!(
+                matches!(&err, OtError::Protocol(m) if m.contains("C out of range")),
+                "C = {c}: {err:?}"
+            );
+        }
+        // A bad g^r is rejected whichever branch carries it, so an abort
+        // never reveals a choice bit.
+        let valid_c = group.pow(group.generator(), &Ubig::from(77u64));
+        for bad in [0usize, 1, 2, 3] {
+            for gr in [Ubig::ZERO, p.clone()] {
+                let mut flight = Vec::new();
+                for branch in 0..4 {
+                    let e = if branch == bad { &gr } else { &valid_c };
+                    flight.extend_from_slice(&group.element_to_bytes(e));
+                    flight.extend_from_slice(&[0u8; 16]);
+                }
+                let err = receive_from_script(&valid_c, flight);
+                assert!(
+                    matches!(&err, OtError::Protocol(m) if m.contains("out of range")),
+                    "g^r {gr} in slot {bad}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

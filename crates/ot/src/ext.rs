@@ -523,3 +523,126 @@ mod security_tests {
         assert_eq!(run(201), run(202));
     }
 }
+
+/// Golden transcripts: the base-OT arithmetic may be rewritten for speed,
+/// but for fixed seeds both parties must keep sending exactly these bytes
+/// and deriving exactly these seeds.
+#[cfg(test)]
+mod golden_tests {
+    use deepsecure_bigint::DhGroup;
+    use deepsecure_crypto::{Block, Prg};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    use crate::base;
+    use crate::channel::{mem_pair, Channel, ChannelError, MemChannel};
+    use crate::ext::{ExtReceiver, ExtSender};
+
+    /// FNV-1a over a byte stream: a stable digest for pinning transcripts.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Records every byte this party sends.
+    struct Recorder {
+        inner: MemChannel,
+        sent: Vec<u8>,
+    }
+
+    impl Channel for Recorder {
+        fn send(&mut self, data: &[u8]) -> Result<(), ChannelError> {
+            self.sent.extend_from_slice(data);
+            self.inner.send(data)
+        }
+        fn recv(&mut self, n: usize) -> Result<Vec<u8>, ChannelError> {
+            self.inner.recv(n)
+        }
+        fn bytes_sent(&self) -> u64 {
+            self.inner.bytes_sent()
+        }
+        fn bytes_received(&self) -> u64 {
+            self.inner.bytes_received()
+        }
+    }
+
+    fn recorded_pair() -> (Recorder, Recorder) {
+        let (a, b) = mem_pair();
+        let wrap = |inner| Recorder {
+            inner,
+            sent: Vec::new(),
+        };
+        (wrap(a), wrap(b))
+    }
+
+    /// The first keystream block of each PRG: pins the seed it was built
+    /// from without exposing it.
+    fn prg_digest<'a>(prgs: impl Iterator<Item = &'a Prg>) -> u64 {
+        let mut bytes = Vec::new();
+        for prg in prgs {
+            bytes.extend_from_slice(&prg.clone().next_block().to_bytes());
+        }
+        fnv1a(&bytes)
+    }
+
+    #[test]
+    fn ext_setup_transcript_is_pinned_on_modp_768() {
+        let group = DhGroup::modp_768();
+        let (mut ca, mut cb) = recorded_pair();
+        let g2 = group.clone();
+        let sender = std::thread::spawn(move || {
+            let mut rng = StdRng::seed_from_u64(0x5e4d);
+            let s = ExtSender::setup(&mut ca, &g2, &mut rng).unwrap();
+            (s, ca.sent)
+        });
+        let mut rng = StdRng::seed_from_u64(0x4ec7);
+        let r = ExtReceiver::setup(&mut cb, &group, &mut rng).unwrap();
+        let (s, sender_bytes) = sender.join().unwrap();
+        // 128 PK_0 values up; C plus 128 × two (g^r, ciphertext) pairs down.
+        assert_eq!(sender_bytes.len(), 128 * 96);
+        assert_eq!(cb.sent.len(), 96 + 128 * 2 * (96 + 16));
+        let got = [
+            fnv1a(&sender_bytes),
+            fnv1a(&cb.sent),
+            prg_digest(s.seeds.iter()),
+            prg_digest(r.seed_pairs.iter().flat_map(|(k0, k1)| [k0, k1])),
+        ];
+        let want = [
+            0x34b7_ab05_c89b_1b4c,
+            0xa1f8_f827_6e22_0e5d,
+            0x713f_1c31_5087_209c,
+            0xd441_9e8c_2272_c86d,
+        ];
+        assert_eq!(got, want, "{got:#018x?}");
+    }
+
+    #[test]
+    fn base_ot_transcript_is_pinned_on_modp_2048() {
+        let group = DhGroup::modp_2048();
+        let pairs: Vec<(Block, Block)> = (0..4u128)
+            .map(|i| (Block::from(0x1000 + i), Block::from(0x2000 + i)))
+            .collect();
+        let choices = [true, false, false, true];
+        let (mut ca, mut cb) = recorded_pair();
+        let g2 = group.clone();
+        let sender = std::thread::spawn(move || {
+            let mut rng = StdRng::seed_from_u64(0x2048);
+            base::send(&mut ca, &g2, &pairs, &mut rng).unwrap();
+            ca.sent
+        });
+        let mut rng = StdRng::seed_from_u64(0x8402);
+        let received = base::receive(&mut cb, &group, &choices, &mut rng).unwrap();
+        let sender_bytes = sender.join().unwrap();
+        assert_eq!(sender_bytes.len(), 256 + 4 * 2 * (256 + 16));
+        assert_eq!(cb.sent.len(), 4 * 256);
+        let got = [fnv1a(&sender_bytes), fnv1a(&cb.sent)];
+        let want = [0xc4dc_f9af_2c2c_a253, 0x26a7_d524_74ef_a3ab];
+        assert_eq!(got, want, "{got:#018x?}");
+        let want: Vec<Block> = (0..4u128)
+            .zip(choices)
+            .map(|(i, c)| Block::from(if c { 0x2000 + i } else { 0x1000 + i }))
+            .collect();
+        assert_eq!(received, want);
+    }
+}

@@ -25,7 +25,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -196,6 +196,9 @@ struct Shared {
     token_seed: u64,
     /// Resumable OT-extension state by session ID.
     resume: Mutex<BTreeMap<u64, StashedSession>>,
+    /// A handle on each live session's socket, so a valid `RESUME` claim
+    /// can cut the connection it replaces.
+    connections: Mutex<HashMap<u64, TcpStream>>,
     /// Serializes the admission check-then-register sequence: without it
     /// two concurrent handshakes could both pass a session cap and both
     /// register, overshooting the limit.
@@ -299,6 +302,7 @@ impl Server {
                 retry_after_ms: config.retry_after_ms,
                 token_seed: config.seed ^ 0x7e5e_7e5e_0000_70c4,
                 resume: Mutex::new(BTreeMap::new()),
+                connections: Mutex::new(HashMap::new()),
                 admission: Mutex::new(()),
             }),
         })
@@ -559,13 +563,14 @@ impl ServerHandle {
 
 /// Deregisters a session on every exit path of its handler.
 struct RegistryGuard<'a> {
-    registry: &'a SessionRegistry,
+    shared: &'a Shared,
     id: u64,
 }
 
 impl Drop for RegistryGuard<'_> {
     fn drop(&mut self) {
-        self.registry.deregister(self.id);
+        lock(&self.shared.connections).remove(&self.id);
+        self.shared.registry.deregister(self.id);
     }
 }
 
@@ -639,6 +644,7 @@ fn serve_session(
     // A wedged client must not pin this handler (and the eventual
     // graceful drain) forever.
     stream.set_read_timeout(shared.idle_timeout)?;
+    let conn = stream.try_clone()?;
     let chan = TcpChannel::from_stream(stream)?;
     let mut framed = FramedChannel::new(chan);
     let hello_frame = framed.recv_frame()?;
@@ -672,6 +678,17 @@ fn serve_session(
     // model mismatch) falls back to a fresh setup — the client learns
     // which happened from whether the OK frame echoes its claimed sid.
     let claimed = hello.resume.and_then(|(sid, token)| {
+        // The client has given up on its previous connection; cut it (a
+        // claim with the session's token only). A handler blocked writing
+        // to a client that stopped reading stays blocked until the client
+        // closes that socket, which it does only once this claim is
+        // answered: the client's own shutdown never reaches a writer
+        // stalled on a full window.
+        if token == session_token(shared.token_seed, sid) {
+            if let Some(old) = lock(&shared.connections).get(&sid) {
+                let _ = old.shutdown(Shutdown::Both);
+            }
+        }
         // The dying handler races this reconnect: its last write has to
         // fail before it parks the extension state and leaves the
         // registry. Poll briefly instead of falling straight back to a
@@ -755,10 +772,8 @@ fn serve_session(
     };
     drop(admission);
     let token = session_token(shared.token_seed, sid);
-    let _guard = RegistryGuard {
-        registry: &shared.registry,
-        id: sid,
-    };
+    let _guard = RegistryGuard { shared, id: sid };
+    lock(&shared.connections).insert(sid, conn);
     framed.send_frame(proto::ok(sid, shared.cfg.chunk_gates, token).as_bytes())?;
     let mut chan = framed.into_inner();
 
