@@ -54,13 +54,13 @@ impl CostReport {
     }
 
     /// Peak garbled-table bytes resident in memory at once, per cycle, for
-    /// either live party at streaming chunk size `chunk_gates` (0 = fully
-    /// buffered, matching the protocol's convention).
+    /// either live party at streaming chunk size `chunk_gates`.
     ///
     /// This reproduces the `PeakBytes` accounting in
-    /// `deepsecure-core::session` exactly: a buffered cycle holds the whole
-    /// table stream (`32 × non_free`), a streamed cycle at most one chunk of
-    /// `chunk_gates` non-free gates (`32 × min(chunk_gates, non_free)`).
+    /// `deepsecure-core::session` exactly: a cycle holds at most one chunk
+    /// of `chunk_gates` non-free gates (`32 × min(chunk_gates, non_free)`).
+    /// There is no buffered mode; `chunk_gates = 0` is one chunk that holds
+    /// the whole cycle, i.e. the whole table stream (`32 × non_free`).
     /// A client replaying *precomputed* material instead holds the whole
     /// material buffer; see
     /// [`CostReport::precomputed_client_resident_bytes`].
@@ -162,7 +162,7 @@ mod tests {
     fn peak_prediction_matches_streaming_rules() {
         let c = sample();
         let r = cost(&c);
-        // Buffered: whole table stream.
+        // Whole-cycle chunk: whole table stream.
         assert_eq!(r.peak_resident_table_bytes(0), 64);
         // Chunk smaller than the stream: one chunk resident.
         assert_eq!(r.peak_resident_table_bytes(1), 32);

@@ -10,8 +10,9 @@ use std::fmt::Write as _;
 
 use crate::{Analysis, Savings};
 
-/// Chunk sizes reported by default: buffered, the CI cross-check size, and
-/// the streaming default used in the serving benchmarks.
+/// Chunk sizes reported by default: a whole-cycle chunk, the CI
+/// cross-check size, and the streaming default used in the serving
+/// benchmarks.
 pub const DEFAULT_CHUNK_SIZES: &[usize] = &[0, 1024, 8192];
 
 /// Renders one circuit's analysis as a short human-readable block.
@@ -39,7 +40,7 @@ pub fn render_text(name: &str, a: &Analysis, chunks: &[usize]) -> String {
                 peaks.push_str(", ");
             }
             let label = if chunk == 0 {
-                "buffered".to_string()
+                "whole cycle".to_string()
             } else {
                 format!("chunk {chunk}")
             };

@@ -47,8 +47,8 @@ fn prediction_matches_live_protocol_at_chunk_0_and_1024() {
         };
         let (_, run) = run_circuit(&c, &g_bits, &e_bits, &cfg).expect("protocol run");
         // Wire tables and the high-water mark of resident table bytes must
-        // equal the static prediction exactly — buffered holds the whole
-        // stream, streamed holds one 1024-gate chunk.
+        // equal the static prediction exactly — a whole-cycle chunk holds
+        // the whole stream, chunk 1024 holds one 1024-gate chunk.
         assert_eq!(
             run.material_bytes, report.table_bytes,
             "chunk {chunk_gates}"

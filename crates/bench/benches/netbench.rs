@@ -1,12 +1,14 @@
 //! Network-transport benchmarks: the same tiny_mlp secure inference over
 //! in-memory channels, real TCP loopback, and simulated LAN/WAN links —
 //! the numbers behind the transport section of BENCH_BASELINE.md — each
-//! both **buffered** (whole-cycle table transfer) and **streamed**
-//! (chunked tables overlapping garbling, transfer, and evaluation). Every
-//! run asserts the decoded label against the plaintext oracle, and the
-//! streamed runs additionally assert the per-phase wire bytes match the
-//! buffered run bit for bit, so the `-- --test` smoke mode in CI doubles
-//! as a transport *and* streaming-equivalence check.
+//! at a **whole-cycle chunk** (`chunk_gates = 0`: the tables still follow
+//! the labels and OT, as one chunk per cycle; there is no buffered mode)
+//! and **streamed** in 8192-gate chunks (overlapping garbling, transfer,
+//! and evaluation). Every run asserts the decoded label against the
+//! plaintext oracle, and the streamed runs additionally assert the
+//! per-phase wire bytes match the whole-cycle-chunk run bit for bit, so
+//! the `-- --test` smoke mode in CI doubles as a transport *and*
+//! chunking-equivalence check.
 
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -29,8 +31,9 @@ struct Setup {
     e_bits: Vec<Vec<bool>>,
     cfg: InferenceConfig,
     expected: usize,
-    /// Buffered run's wire breakdown — the oracle streamed runs must hit.
-    buffered_wire: OnceLock<WireBreakdown>,
+    /// Whole-cycle-chunk run's wire breakdown — the oracle streamed runs
+    /// must hit.
+    whole_cycle_wire: OnceLock<WireBreakdown>,
 }
 
 fn setup() -> Setup {
@@ -52,7 +55,7 @@ fn setup() -> Setup {
         compiled,
         cfg,
         expected,
-        buffered_wire: OnceLock::new(),
+        whole_cycle_wire: OnceLock::new(),
     }
 }
 
@@ -66,7 +69,8 @@ impl Setup {
 }
 
 /// Runs one inference over the channel pair with the given chunking and
-/// checks the label plus (for streamed runs) wire equality with buffered.
+/// checks the label plus (for streamed runs) wire equality with the
+/// whole-cycle chunk.
 fn run_over<CC, CS>(s: &Setup, chunk_gates: usize, ca: CC, cb: CS)
 where
     CC: Channel,
@@ -83,14 +87,17 @@ where
     .unwrap();
     assert_eq!(report.label, s.expected);
     if chunk_gates > 0 {
-        // Streaming must reorder the wire, never change it; and it must
+        // Chunking must never change the wire; and a streamed run must
         // hold only one chunk of tables at a time.
-        if let Some(buffered) = s.buffered_wire.get() {
-            assert_eq!(&report.wire, buffered, "streamed wire != buffered wire");
+        if let Some(whole) = s.whole_cycle_wire.get() {
+            assert_eq!(
+                &report.wire, whole,
+                "streamed wire != whole-cycle chunk wire"
+            );
         }
         assert_eq!(report.peak_material_bytes, (chunk_gates * 32) as u64);
     } else {
-        let _ = s.buffered_wire.set(report.wire);
+        let _ = s.whole_cycle_wire.set(report.wire);
     }
 }
 

@@ -98,12 +98,13 @@ pub struct InferenceConfig {
     pub group: DhGroup,
     /// Garbler randomness seed.
     pub seed: u64,
-    /// Non-free gates per garbled-table chunk. `0` (the default) buffers
-    /// each cycle's whole table stream in one send; `> 0` streams tables
-    /// in chunks so garbling, transfer, and evaluation overlap and peak
-    /// resident material is O(chunk). **Both parties must agree** — chunk
-    /// boundaries are derived, not framed, which is what keeps the
-    /// streamed wire byte-identical to the buffered one.
+    /// Non-free gates per garbled-table chunk. Tables always stream after
+    /// the input labels and OT, in chunks, so garbling, transfer, and
+    /// evaluation overlap and peak resident material is O(chunk). There
+    /// is no buffered mode: `0` (the default) means one chunk that holds
+    /// the whole cycle. **Both parties must agree** — chunk boundaries are
+    /// derived, not framed, which is what keeps every chunking's wire
+    /// byte-identical.
     pub chunk_gates: usize,
     /// Worker threads for garbling, evaluation, and base-OT modexps. `1`
     /// is the sequential path; `0` means auto (one per available core).
@@ -187,8 +188,8 @@ pub struct InferenceReport {
     /// Garbled-table bytes alone (the `α` term).
     pub material_bytes: u64,
     /// High-water mark of garbled-table bytes either party held at once
-    /// (max over both sides): equals `material_bytes` on buffered runs,
-    /// one chunk on streamed live runs — the O(chunk) memory measurement.
+    /// (max over both sides): one chunk on live runs (one cycle's tables
+    /// at `chunk_gates = 0`) — the O(chunk) memory measurement.
     pub peak_material_bytes: u64,
     /// Per-phase wire traffic (base OT / OT-ext / tables / labels /
     /// output bits; both directions per phase).

@@ -30,19 +30,19 @@
 //!
 //! # Chunk streaming
 //!
-//! With `InferenceConfig::chunk_gates > 0` each cycle runs as a streaming
-//! pipeline instead of a buffered one: active input labels and the OT
-//! extension travel first, then the garbled tables flow in chunks of
-//! `chunk_gates` non-free gates — produced by the incremental
-//! [`Garbler::begin_cycle`] API (or sliced from precomputed material) and
-//! consumed by the evaluator's feed path as they arrive. Garbling,
-//! transfer, and evaluation overlap in time and peak resident material
-//! drops from O(circuit) to O(chunk) (measured: `peak_material_bytes` on
-//! both outcomes). Chunk boundaries are *derived* from the circuit's
-//! non-free gate count and the agreed `chunk_gates` — never framed — so
-//! a streamed run moves bit-identical per-phase wire bytes to a buffered
-//! one; both parties must simply agree on the value (binaries pin it in
-//! their handshakes).
+//! Every cycle runs as a streaming pipeline — there is no buffered mode:
+//! active input labels and the OT extension travel first, then the
+//! garbled tables flow in chunks of `chunk_gates` non-free gates —
+//! produced by the incremental [`Garbler::begin_cycle`] API (or sliced
+//! from precomputed material) and consumed by the evaluator's feed path
+//! as they arrive. Garbling, transfer, and evaluation overlap in time and
+//! peak resident material is O(chunk) (measured: `peak_material_bytes`
+//! on both outcomes). `chunk_gates = 0` means one chunk that holds the
+//! whole cycle, resolved in one place (`resolve_chunk_gates`). Chunk
+//! boundaries are *derived* from the circuit's non-free gate count and
+//! the agreed `chunk_gates` — never framed — so every chunking moves
+//! bit-identical per-phase wire bytes; both parties must simply agree on
+//! the value (binaries pin it in their handshakes).
 //!
 //! Sessions measure their own traffic as *deltas* of the channel's byte
 //! counters, so pre-protocol traffic (e.g. the `two_party` handshake) is
@@ -55,6 +55,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use deepsecure_circuit::Circuit;
 use deepsecure_crypto::Block;
 use deepsecure_garble::{CycleGarbling, Evaluator, GarbledCycle, Garbler};
 use deepsecure_ot::channel::Channel;
@@ -362,8 +363,9 @@ pub struct ClientOutcome {
     /// zero-width garble spans (the garbling happened offline).
     pub cycles: Vec<(PhaseSpan, PhaseSpan)>,
     /// High-water mark of garbled-table bytes this session held at once:
-    /// the whole material on buffered runs, one chunk buffer on streamed
-    /// live runs — the measured O(chunk) memory claim.
+    /// the whole material on precomputed runs, one chunk buffer on live
+    /// runs (one cycle at `chunk_gates == 0`) — the measured O(chunk)
+    /// memory claim.
     pub peak_material_bytes: u64,
 }
 
@@ -377,12 +379,12 @@ pub struct ServerOutcome {
     /// Per-phase wire traffic (mirrors the client's view). Online-only
     /// runs report `base_ot == 0`; the setup accounts for it.
     pub wire: WireBreakdown,
-    /// Per-cycle evaluation spans. On chunk-streamed runs the span covers
-    /// feeding the arriving chunks, so it includes table transfer time —
-    /// that interleaving is the point of streaming.
+    /// Per-cycle evaluation spans. The span covers feeding the arriving
+    /// chunks, so it includes table transfer time — that interleaving is
+    /// the point of streaming.
     pub evals: Vec<PhaseSpan>,
     /// High-water mark of garbled-table bytes this session held at once:
-    /// a whole cycle's tables on buffered runs, one chunk on streamed.
+    /// one chunk (one cycle's tables at `chunk_gates == 0`).
     pub peak_material_bytes: u64,
 }
 
@@ -393,88 +395,43 @@ pub struct ClientSession {
     cfg: InferenceConfig,
 }
 
-/// Streams one garbled cycle (tables, active labels, OT extension) and
-/// decodes the returned color bits — the per-cycle online hot path shared
-/// by [`ClientSession::run`] and [`ClientSession::run_online`].
-///
-/// Returns the decoded label bits plus the instant (relative to `epoch`)
-/// at which this side's *sending* work ended — i.e. after the OT send,
-/// before blocking on the returned colors — so the recorded OT span
-/// excludes the server's evaluation time (the Fig. 5 convention).
-fn client_cycle<C: Channel>(
-    chan: &mut C,
-    ot: &mut ExtSender,
-    cycle: &GarbledCycle,
-    g_bits: &[bool],
-    first_payload: Option<(&[Block; 2], &[Block])>,
-    wire: &mut WireBreakdown,
-    epoch: Instant,
-) -> Result<(Vec<bool>, f64), ProtocolError> {
-    if let Some((const_labels, initial_registers)) = first_payload {
-        let _s = telemetry::span!("client.input_labels");
-        let before = traffic(chan);
-        chan.send_block(const_labels[0])?;
-        chan.send_block(const_labels[1])?;
-        chan.send_blocks(initial_registers)?;
-        tally(
-            &mut wire.input_labels,
-            &wire_metrics::INPUT_LABELS,
-            traffic(chan) - before,
-        );
+/// Non-free gates per table chunk: the agreed `chunk_gates`, with `0`
+/// resolved to one chunk that holds the whole cycle of `circuit` — at
+/// least 1, so slicing an all-XOR circuit's empty table stream cannot
+/// panic. Both parties resolve it here, so they derive the same chunk
+/// boundaries.
+fn resolve_chunk_gates(chunk_gates: usize, circuit: &Circuit) -> usize {
+    if chunk_gates == 0 {
+        circuit.nonfree_gate_count().max(1)
+    } else {
+        chunk_gates
     }
-    {
-        let _s = telemetry::span!("client.tables");
-        let before = traffic(chan);
-        chan.send_blocks(&cycle.tables)?;
-        tally(
-            &mut wire.tables,
-            &wire_metrics::TABLES,
-            traffic(chan) - before,
-        );
-    }
-    {
-        let _s = telemetry::span!("client.input_labels");
-        let before = traffic(chan);
-        chan.send_blocks(&cycle.garbler_active(g_bits))?;
-        tally(
-            &mut wire.input_labels,
-            &wire_metrics::INPUT_LABELS,
-            traffic(chan) - before,
-        );
-    }
-    {
-        let _s = telemetry::span!("client.ot_ext");
-        let before = traffic(chan);
-        ot.send(chan, &cycle.evaluator_input_labels)?;
-        tally(
-            &mut wire.ot_ext,
-            &wire_metrics::OT_EXT,
-            traffic(chan) - before,
-        );
-    }
-    let ot_end_s = epoch.elapsed().as_secs_f64();
-    let turnaround = telemetry::span!("client.turnaround");
-    let before = traffic(chan);
-    let colors = chan.recv_bits()?;
-    tally(
-        &mut wire.output_bits,
-        &wire_metrics::OUTPUT_BITS,
-        traffic(chan) - before,
-    );
-    turnaround.end();
-    let label_bits = colors
-        .iter()
-        .zip(&cycle.output_decode)
-        .map(|(&col, &d)| col ^ d)
-        .collect();
-    Ok((label_bits, ot_end_s))
 }
 
-/// Sends the cycle-stream prologue of the **streamed** order: first-cycle
-/// payload (constants + initial registers), the garbler's active input
-/// labels, then the OT extension — everything the evaluator needs *before*
-/// the first table chunk, so it can evaluate while later chunks are still
-/// in flight. Returns the instant the OT send ended.
+/// Sends one table chunk and tallies it — the one table-transfer step
+/// both material sources share.
+fn client_send_chunk<C: Channel>(
+    chan: &mut C,
+    chunk: &[Block],
+    wire: &mut WireBreakdown,
+) -> Result<(), ProtocolError> {
+    let _s = telemetry::span!("client.tables.chunk");
+    let before = traffic(chan);
+    chan.send_blocks(chunk)?;
+    tally(
+        &mut wire.tables,
+        &wire_metrics::TABLES,
+        traffic(chan) - before,
+    );
+    Ok(())
+}
+
+/// Sends the cycle-stream prologue: first-cycle payload (constants +
+/// initial registers), the garbler's active input labels, then the OT
+/// extension — everything the evaluator needs *before* the first table
+/// chunk, so it can evaluate while later chunks are still in flight.
+/// Returns the instant the OT send ended, so the recorded OT span
+/// excludes the server's evaluation time (the Fig. 5 convention).
 fn client_stream_prologue<C: Channel>(
     chan: &mut C,
     ot: &mut ExtSender,
@@ -511,7 +468,7 @@ fn client_stream_prologue<C: Channel>(
 }
 
 /// Decodes the returned output colors (the cycle epilogue shared by both
-/// streamed paths).
+/// material sources).
 fn client_stream_epilogue<C: Channel>(
     chan: &mut C,
     output_decode: &[bool],
@@ -532,12 +489,12 @@ fn client_stream_epilogue<C: Channel>(
         .collect())
 }
 
-/// Streams one **precomputed** cycle in the chunked order: prologue, then
-/// the stored table stream sliced into `chunk_gates`-gate chunks (2 rows
-/// per non-free gate), then the decoded colors. Byte-for-byte the same
-/// wire content as [`client_cycle`], split across sends.
+/// Streams one **precomputed** cycle: prologue, then the stored table
+/// stream sliced into `chunk_gates`-gate chunks (2 rows per non-free
+/// gate), then the decoded colors. `chunk_gates` must be resolved
+/// (non-zero).
 #[allow(clippy::too_many_arguments)]
-fn client_cycle_streamed_ready<C: Channel>(
+fn client_cycle_ready<C: Channel>(
     chan: &mut C,
     ot: &mut ExtSender,
     cycle: &GarbledCycle,
@@ -557,14 +514,7 @@ fn client_cycle_streamed_ready<C: Channel>(
         epoch,
     )?;
     for chunk in cycle.tables.chunks(2 * chunk_gates) {
-        let _s = telemetry::span!("client.tables.chunk");
-        let before = traffic(chan);
-        chan.send_blocks(chunk)?;
-        tally(
-            &mut wire.tables,
-            &wire_metrics::TABLES,
-            traffic(chan) - before,
-        );
+        client_send_chunk(chan, chunk, wire)?;
     }
     let label_bits = client_stream_epilogue(chan, &cycle.output_decode, wire)?;
     Ok((label_bits, ot_end_s))
@@ -573,10 +523,11 @@ fn client_cycle_streamed_ready<C: Channel>(
 /// Streams one cycle garbled **on the fly**: prologue from the freshly
 /// assigned input labels, then garble-a-chunk / send-a-chunk until the
 /// gate walk completes — at no point does more than one chunk of tables
-/// exist on this side. Returns the decoded label bits, the OT-send end,
-/// and the chunk-streaming window.
+/// exist on this side. `chunk_gates` must be resolved (non-zero). Returns
+/// the decoded label bits, the OT-send end, and the chunk-streaming
+/// window.
 #[allow(clippy::too_many_arguments)]
-fn client_cycle_streamed_live<C: Channel, R: Rng + ?Sized>(
+fn client_cycle_live<C: Channel, R: Rng + ?Sized>(
     chan: &mut C,
     ot: &mut ExtSender,
     garbler: &mut Garbler<'_>,
@@ -604,7 +555,7 @@ fn client_cycle_streamed_live<C: Channel, R: Rng + ?Sized>(
     // Umbrella span co-extensive with the recorded garble `PhaseSpan`:
     // `trace_view --check` reconciles the two measurements of this window.
     let stream = telemetry::span!("client.garble");
-    let mut buf: Vec<Block> = Vec::with_capacity(2 * chunk_gates.min(1 << 20));
+    let mut buf: Vec<Block> = Vec::with_capacity(2 * chunk_gates.min(cycle.remaining_nonfree()));
     loop {
         buf.clear();
         {
@@ -614,14 +565,7 @@ fn client_cycle_streamed_live<C: Channel, R: Rng + ?Sized>(
             }
         }
         peak.observe((buf.len() * 16) as u64);
-        let _s = telemetry::span!("client.tables.chunk");
-        let before = traffic(chan);
-        chan.send_blocks(&buf)?;
-        tally(
-            &mut wire.tables,
-            &wire_metrics::TABLES,
-            traffic(chan) - before,
-        );
+        client_send_chunk(chan, &buf, wire)?;
     }
     let output_decode = cycle.finish();
     stream.end();
@@ -712,17 +656,14 @@ impl ClientSession {
 
     /// Runs one **online** inference over an established setup. The
     /// [`MaterialSource`] decides where tables come from (pre-garbled
-    /// offline, or garbled live while streaming); the session's
-    /// `chunk_gates` config decides how they travel:
-    ///
-    /// * `chunk_gates == 0` — **buffered**: each cycle's whole table
-    ///   stream is one send, in the classic order (tables → labels → OT).
-    /// * `chunk_gates > 0` — **streamed**: labels and OT go first, then
-    ///   the tables in chunks of `chunk_gates` non-free gates, so the
-    ///   evaluator works while later chunks (and, with a live source, the
-    ///   garbling itself) are still in flight. Chunk boundaries are
-    ///   deterministic from the circuit and the agreed `chunk_gates`, so
-    ///   streaming adds **zero** wire bytes over the buffered path.
+    /// offline, or garbled live while streaming); the order on the wire is
+    /// the same for both: labels and OT go first, then the tables in
+    /// chunks of `chunk_gates` non-free gates, so the evaluator works while
+    /// later chunks (and, with a live source, the garbling itself) are
+    /// still in flight. There is no buffered mode: `chunk_gates == 0` is
+    /// one chunk that holds the whole cycle. Chunk boundaries are
+    /// deterministic from the circuit and the agreed `chunk_gates`, so
+    /// every chunking moves the same per-phase wire bytes.
     ///
     /// The setup is reusable: call again with a fresh source for the next
     /// request on the same connection. The outcome's `wire.base_ot` is
@@ -754,7 +695,7 @@ impl ClientSession {
             garbler_bits_per_cycle.len(),
             "material cycles must match input cycles"
         );
-        let chunk_gates = self.cfg.chunk_gates;
+        let chunk_gates = resolve_chunk_gates(self.cfg.chunk_gates, &self.compiled.circuit);
         let sent0 = chan.bytes_sent();
         let recv0 = chan.bytes_received();
         let mut wire = WireBreakdown::default();
@@ -776,28 +717,16 @@ impl ClientSession {
                     let t0 = epoch.elapsed().as_secs_f64();
                     let first_payload =
                         (i == 0).then_some((&cycle.constant_labels, initial_registers.as_slice()));
-                    let (label_bits, ot_end_s) = if chunk_gates == 0 {
-                        client_cycle(
-                            chan,
-                            &mut setup.ot,
-                            &cycle,
-                            g_bits,
-                            first_payload,
-                            &mut wire,
-                            epoch,
-                        )?
-                    } else {
-                        client_cycle_streamed_ready(
-                            chan,
-                            &mut setup.ot,
-                            &cycle,
-                            g_bits,
-                            first_payload,
-                            chunk_gates,
-                            &mut wire,
-                            epoch,
-                        )?
-                    };
+                    let (label_bits, ot_end_s) = client_cycle_ready(
+                        chan,
+                        &mut setup.ot,
+                        &cycle,
+                        g_bits,
+                        first_payload,
+                        chunk_gates,
+                        &mut wire,
+                        epoch,
+                    )?;
                     cycle_labels.push(self.compiled.decode_label(&label_bits));
                     // Zero-width garble span: the garbling happened offline.
                     cycles.push((
@@ -822,59 +751,29 @@ impl ClientSession {
                 let initial_registers = garbler.initial_register_labels();
                 for (i, g_bits) in garbler_bits_per_cycle.iter().enumerate() {
                     let t0 = epoch.elapsed().as_secs_f64();
-                    if chunk_gates == 0 {
-                        let garble_span = telemetry::span!("client.garble");
-                        let cycle = garbler.garble_cycle(&mut rng);
-                        garble_span.end();
-                        peak.observe((cycle.tables.len() * 16) as u64);
-                        let t1 = epoch.elapsed().as_secs_f64();
-                        let first_payload = (i == 0)
-                            .then_some((&cycle.constant_labels, initial_registers.as_slice()));
-                        let (label_bits, ot_end_s) = client_cycle(
-                            chan,
-                            &mut setup.ot,
-                            &cycle,
-                            g_bits,
-                            first_payload,
-                            &mut wire,
-                            epoch,
-                        )?;
-                        cycle_labels.push(self.compiled.decode_label(&label_bits));
-                        cycles.push((
-                            PhaseSpan {
-                                start_s: t0,
-                                end_s: t1,
-                            },
-                            PhaseSpan {
-                                start_s: t1,
-                                end_s: ot_end_s,
-                            },
-                        ));
-                    } else {
-                        let (label_bits, ot_end_s, stream_span) = client_cycle_streamed_live(
-                            chan,
-                            &mut setup.ot,
-                            &mut garbler,
-                            &mut rng,
-                            g_bits,
-                            (i == 0).then_some(initial_registers.as_slice()),
-                            chunk_gates,
-                            &mut wire,
-                            &mut peak,
-                            epoch,
-                        )?;
-                        cycle_labels.push(self.compiled.decode_label(&label_bits));
-                        // The garble span is the chunk-streaming window
-                        // (garbling and transfer interleave by design);
-                        // the OT span precedes it in the streamed order.
-                        cycles.push((
-                            stream_span,
-                            PhaseSpan {
-                                start_s: t0,
-                                end_s: ot_end_s,
-                            },
-                        ));
-                    }
+                    let (label_bits, ot_end_s, stream_span) = client_cycle_live(
+                        chan,
+                        &mut setup.ot,
+                        &mut garbler,
+                        &mut rng,
+                        g_bits,
+                        (i == 0).then_some(initial_registers.as_slice()),
+                        chunk_gates,
+                        &mut wire,
+                        &mut peak,
+                        epoch,
+                    )?;
+                    cycle_labels.push(self.compiled.decode_label(&label_bits));
+                    // The garble span is the chunk-streaming window
+                    // (garbling and transfer interleave by design); the OT
+                    // span precedes it on the wire.
+                    cycles.push((
+                        stream_span,
+                        PhaseSpan {
+                            start_s: t0,
+                            end_s: ot_end_s,
+                        },
+                    ));
                 }
             }
         }
@@ -901,12 +800,10 @@ impl ClientSession {
     }
 
     /// Runs the full client side over any channel: base-OT setup, then per
-    /// cycle garble → ship tables/labels → OT → decode returned colors
-    /// (the garbling of cycle `c+1` overlaps the server's evaluation of
-    /// cycle `c`, the Fig. 5 pipelining). With `chunk_gates > 0` each
-    /// cycle itself streams: garble a chunk, send a chunk — garbling,
-    /// transfer, and the peer's evaluation overlap *within* a cycle, and
-    /// at most one chunk of tables is ever resident.
+    /// cycle ship labels → OT → garble a chunk, send a chunk → decode the
+    /// returned colors. Garbling, transfer, and the peer's evaluation
+    /// overlap *within* a cycle, and at most one chunk of tables is ever
+    /// resident (a whole cycle at `chunk_gates == 0`).
     ///
     /// Composes [`ClientSession::setup`] with a live-garbling
     /// [`ClientSession::run_online`], which is what keeps the single-shot
@@ -986,12 +883,11 @@ impl ServerSession {
         Ok(ServerSetup { ot, sent, received })
     }
 
-    /// Runs one **online** inference over an established setup. With
-    /// `chunk_gates == 0` (buffered): receive a cycle's whole table
-    /// stream → labels → OT → evaluate. With `chunk_gates > 0`
-    /// (streamed): labels and OT first, then consume the tables chunk by
+    /// Runs one **online** inference over an established setup: receive
+    /// the input labels and OT first, then consume the tables chunk by
     /// chunk as they arrive, evaluating the gates each chunk unblocks —
-    /// peak resident material drops from O(circuit) to O(chunk). Chunk
+    /// peak resident material is O(chunk). There is no buffered mode:
+    /// `chunk_gates == 0` is one chunk that holds the whole cycle. Chunk
     /// boundaries are computed from the circuit's non-free gate count and
     /// the agreed `chunk_gates`, so no framing bytes are added.
     ///
@@ -1020,7 +916,7 @@ impl ServerSession {
             "need at least one cycle"
         );
         let c = &self.compiled.circuit;
-        let chunk_gates = self.cfg.chunk_gates;
+        let chunk_gates = resolve_chunk_gates(self.cfg.chunk_gates, c);
         let sent0 = chan.bytes_sent();
         let recv0 = chan.bytes_received();
         let mut wire = WireBreakdown::default();
@@ -1044,107 +940,57 @@ impl ServerSession {
         let no_decode = vec![false; c.outputs().len()];
         let mut evals = Vec::with_capacity(evaluator_bits_per_cycle.len());
         for choice_bits in evaluator_bits_per_cycle {
-            let colors;
-            let span;
-            if chunk_gates == 0 {
-                let tables;
-                {
-                    let _s = telemetry::span!("server.tables");
-                    let before = traffic(chan);
-                    peak.alloc((2 * nonfree * 16) as u64);
-                    tables = chan.recv_blocks(2 * nonfree)?;
-                    tally(
-                        &mut wire.tables,
-                        &wire_metrics::TABLES,
-                        traffic(chan) - before,
-                    );
-                }
-                let g_labels;
-                {
-                    let _s = telemetry::span!("server.input_labels");
-                    let before = traffic(chan);
-                    g_labels = chan.recv_blocks(c.garbler_inputs().len())?;
-                    tally(
-                        &mut wire.input_labels,
-                        &wire_metrics::INPUT_LABELS,
-                        traffic(chan) - before,
-                    );
-                }
-                let e_labels;
-                {
-                    let _s = telemetry::span!("server.ot_ext");
-                    let before = traffic(chan);
-                    e_labels = setup.ot.receive(chan, choice_bits)?;
-                    tally(
-                        &mut wire.ot_ext,
-                        &wire_metrics::OT_EXT,
-                        traffic(chan) - before,
-                    );
-                }
-                let t0 = epoch.elapsed().as_secs_f64();
-                let eval_span = telemetry::span!("server.eval");
-                colors = evaluator.eval_cycle(&tables, &g_labels, &e_labels, &no_decode);
-                eval_span.end();
-                let t1 = epoch.elapsed().as_secs_f64();
-                drop(tables);
-                peak.free((2 * nonfree * 16) as u64);
-                span = PhaseSpan {
-                    start_s: t0,
-                    end_s: t1,
-                };
-            } else {
-                // Streamed order: everything the gate walk needs arrives
-                // before the first chunk.
-                let g_labels;
-                {
-                    let _s = telemetry::span!("server.input_labels");
-                    let before = traffic(chan);
-                    g_labels = chan.recv_blocks(c.garbler_inputs().len())?;
-                    tally(
-                        &mut wire.input_labels,
-                        &wire_metrics::INPUT_LABELS,
-                        traffic(chan) - before,
-                    );
-                }
-                let e_labels;
-                {
-                    let _s = telemetry::span!("server.ot_ext");
-                    let before = traffic(chan);
-                    e_labels = setup.ot.receive(chan, choice_bits)?;
-                    tally(
-                        &mut wire.ot_ext,
-                        &wire_metrics::OT_EXT,
-                        traffic(chan) - before,
-                    );
-                }
-                let t0 = epoch.elapsed().as_secs_f64();
-                // Umbrella span co-extensive with the recorded eval
-                // `PhaseSpan` (it includes table transfer time — the
-                // interleaving is the point of streaming).
-                let eval_span = telemetry::span!("server.eval");
-                let mut cycle = evaluator.begin_cycle(&g_labels, &e_labels);
-                let mut remaining = nonfree;
-                while remaining > 0 {
-                    let k = remaining.min(chunk_gates);
-                    let _s = telemetry::span!("server.eval.chunk");
-                    let before = traffic(chan);
-                    let chunk = chan.recv_blocks(2 * k)?;
-                    tally(
-                        &mut wire.tables,
-                        &wire_metrics::TABLES,
-                        traffic(chan) - before,
-                    );
-                    peak.observe((chunk.len() * 16) as u64);
-                    cycle.feed(&chunk);
-                    remaining -= k;
-                }
-                colors = cycle.finish(&no_decode);
-                eval_span.end();
-                span = PhaseSpan {
-                    start_s: t0,
-                    end_s: epoch.elapsed().as_secs_f64(),
-                };
+            // Everything the gate walk needs arrives before the first
+            // chunk.
+            let g_labels;
+            {
+                let _s = telemetry::span!("server.input_labels");
+                let before = traffic(chan);
+                g_labels = chan.recv_blocks(c.garbler_inputs().len())?;
+                tally(
+                    &mut wire.input_labels,
+                    &wire_metrics::INPUT_LABELS,
+                    traffic(chan) - before,
+                );
             }
+            let e_labels;
+            {
+                let _s = telemetry::span!("server.ot_ext");
+                let before = traffic(chan);
+                e_labels = setup.ot.receive(chan, choice_bits)?;
+                tally(
+                    &mut wire.ot_ext,
+                    &wire_metrics::OT_EXT,
+                    traffic(chan) - before,
+                );
+            }
+            let t0 = epoch.elapsed().as_secs_f64();
+            // Umbrella span co-extensive with the recorded eval `PhaseSpan`
+            // (it includes table transfer time — the interleaving is the
+            // point of streaming).
+            let eval_span = telemetry::span!("server.eval");
+            let mut cycle = evaluator.begin_cycle(&g_labels, &e_labels);
+            let mut remaining = nonfree;
+            while remaining > 0 {
+                let k = remaining.min(chunk_gates);
+                let _s = telemetry::span!("server.eval.chunk");
+                let before = traffic(chan);
+                let chunk = chan.recv_blocks(2 * k)?;
+                tally(
+                    &mut wire.tables,
+                    &wire_metrics::TABLES,
+                    traffic(chan) - before,
+                );
+                peak.observe((chunk.len() * 16) as u64);
+                cycle.feed(&chunk);
+                remaining -= k;
+            }
+            let colors = cycle.finish(&no_decode);
+            eval_span.end();
+            let span = PhaseSpan {
+                start_s: t0,
+                end_s: epoch.elapsed().as_secs_f64(),
+            };
             let before = traffic(chan);
             chan.send_bits(&colors)?;
             tally(
@@ -1177,8 +1023,8 @@ impl ServerSession {
     }
 
     /// Runs the full server side over any channel: base-OT setup, then per
-    /// cycle receive tables/labels → OT-receive own labels → evaluate →
-    /// return output colors.
+    /// cycle receive labels → OT-receive own labels → evaluate the table
+    /// chunks as they arrive → return output colors.
     ///
     /// # Errors
     ///
@@ -1393,50 +1239,107 @@ mod tests {
         );
     }
 
+    /// A circuit with no non-free gates: its table stream is empty.
+    fn xor_compiled() -> Arc<Compiled> {
+        let mut b = deepsecure_circuit::Builder::new();
+        let g = b.garbler_inputs(4);
+        let e = b.evaluator_inputs(4);
+        let outs: Vec<_> = g.iter().zip(&e).map(|(&x, &y)| b.xor(x, y)).collect();
+        b.outputs(&outs);
+        Arc::new(Compiled {
+            circuit: b.finish(),
+            weight_order: Vec::new(),
+            format: Format::Q3_12,
+        })
+    }
+
     /// One full run over `mem_pair` with the given chunk setting.
-    fn run_with_chunk(chunk_gates: usize, n_cycles: usize) -> (ClientOutcome, ServerOutcome) {
-        let compiled = mac_compiled();
+    fn run_with_chunk(
+        compiled: &Arc<Compiled>,
+        chunk_gates: usize,
+        n_cycles: usize,
+    ) -> (ClientOutcome, ServerOutcome) {
         let cfg = InferenceConfig {
             chunk_gates,
             ..InferenceConfig::default()
         };
+        let c = &compiled.circuit;
         let (mut cc, mut cs) = mem_pair();
         let epoch = Instant::now();
-        let server = ServerSession::new(Arc::clone(&compiled), &cfg);
-        let e_bits = vec![vec![true; 16]; n_cycles];
+        let server = ServerSession::new(Arc::clone(compiled), &cfg);
+        let e_bits = vec![vec![true; c.evaluator_inputs().len()]; n_cycles];
         let handle = std::thread::spawn(move || server.run(&mut cs, &e_bits, epoch).unwrap());
-        let client = ClientSession::new(Arc::clone(&compiled), &cfg);
-        let g_bits = vec![vec![true; 17]; n_cycles];
+        let client = ClientSession::new(Arc::clone(compiled), &cfg);
+        let g_bits = vec![vec![true; c.garbler_inputs().len()]; n_cycles];
         let cout = client.run(&mut cc, &g_bits, epoch).unwrap();
         let sout = handle.join().unwrap();
         assert_eq!(cout.wire, sout.wire, "parties disagree on the wire");
         (cout, sout)
     }
 
+    /// One online run from one cycle of precomputed material; also returns
+    /// the material's table bytes.
+    fn run_precomputed_with_chunk(
+        compiled: &Arc<Compiled>,
+        chunk_gates: usize,
+    ) -> (ClientOutcome, ServerOutcome, u64) {
+        let cfg = InferenceConfig {
+            chunk_gates,
+            ..InferenceConfig::default()
+        };
+        let c = &compiled.circuit;
+        let (mut cc, mut cs) = mem_pair();
+        let epoch = Instant::now();
+        let server = ServerSession::new(Arc::clone(compiled), &cfg);
+        let e_bits = vec![vec![true; c.evaluator_inputs().len()]];
+        let handle = std::thread::spawn(move || {
+            let mut setup = server.setup(&mut cs).unwrap();
+            server
+                .run_online(&mut cs, &mut setup, &e_bits, epoch)
+                .unwrap()
+        });
+        let client = ClientSession::new(Arc::clone(compiled), &cfg);
+        let mut setup = client.setup(&mut cc, epoch).unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        let material = GarbledMaterial::garble(compiled, 1, &mut rng);
+        let total = material.table_bytes();
+        let g_bits = [vec![true; c.garbler_inputs().len()]];
+        let cout = client
+            .run_online(&mut cc, &mut setup, material, &g_bits, epoch)
+            .unwrap();
+        let sout = handle.join().unwrap();
+        (cout, sout, total)
+    }
+
     #[test]
-    fn streamed_run_is_wire_identical_to_buffered_per_phase() {
+    fn streamed_run_is_wire_identical_to_whole_cycle_chunk_per_phase() {
         // Chunk sizes: 1 gate, a small one, and one far larger than the
         // circuit (a single chunk) — every streamed variant must move
-        // exactly the buffered bytes in every phase and decode the same
-        // labels, single-cycle and multi-cycle (register latching).
+        // exactly the whole-cycle chunk's bytes in every phase and decode
+        // the same labels, single-cycle and multi-cycle (register
+        // latching).
+        let compiled = mac_compiled();
         for n_cycles in [1usize, 3] {
-            let (buffered, buf_s) = run_with_chunk(0, n_cycles);
+            let (whole, whole_s) = run_with_chunk(&compiled, 0, n_cycles);
             if n_cycles == 1 {
                 assert_eq!(
-                    buffered.peak_material_bytes, buffered.wire.tables,
-                    "a buffered single-cycle client holds the whole stream"
+                    whole.peak_material_bytes, whole.wire.tables,
+                    "a whole-cycle chunk single-cycle client holds the whole stream"
                 );
             }
+            // A whole-cycle chunk holds one cycle's tables on both sides.
+            let per_cycle = whole.wire.tables / n_cycles as u64;
+            assert_eq!(whole.peak_material_bytes, per_cycle, "client");
+            assert_eq!(whole_s.peak_material_bytes, per_cycle, "server");
             for chunk in [1usize, 7, 1 << 24] {
-                let (streamed, str_s) = run_with_chunk(chunk, n_cycles);
-                assert_eq!(streamed.cycle_labels, buffered.cycle_labels);
-                assert_eq!(streamed.wire, buffered.wire, "chunk {chunk}");
-                assert_eq!(streamed.sent, buffered.sent);
-                assert_eq!(streamed.received, buffered.received);
-                assert_eq!(str_s.wire, buf_s.wire);
+                let (streamed, str_s) = run_with_chunk(&compiled, chunk, n_cycles);
+                assert_eq!(streamed.cycle_labels, whole.cycle_labels);
+                assert_eq!(streamed.wire, whole.wire, "chunk {chunk}");
+                assert_eq!(streamed.sent, whole.sent);
+                assert_eq!(streamed.received, whole.received);
+                assert_eq!(str_s.wire, whole_s.wire);
                 // O(chunk) resident: a small chunk beats the whole cycle.
                 if chunk < 7_000 {
-                    let per_cycle = buffered.wire.tables / n_cycles as u64;
                     assert!(
                         streamed.peak_material_bytes <= (2 * chunk * 16) as u64,
                         "client chunk {chunk}: peak {}",
@@ -1450,40 +1353,36 @@ mod tests {
                 }
             }
         }
+
+        // No non-free gates: chunk 0 must resolve to a non-empty chunk
+        // (slicing the empty stream by zero rows would panic), on the live
+        // and the precomputed source alike, and move chunk 7's bytes.
+        let xor = xor_compiled();
+        assert_eq!(xor.circuit.nonfree_gate_count(), 0);
+        let (whole, whole_s) = run_with_chunk(&xor, 0, 2);
+        let (streamed, str_s) = run_with_chunk(&xor, 7, 2);
+        assert_eq!(whole.wire.tables, 0);
+        assert_eq!(whole.cycle_labels, vec![0, 0], "true ^ true on every bit");
+        assert_eq!(streamed.cycle_labels, whole.cycle_labels);
+        assert_eq!(streamed.wire, whole.wire);
+        assert_eq!(str_s.wire, whole_s.wire);
+        let (whole, whole_s, total) = run_precomputed_with_chunk(&xor, 0);
+        let (streamed, str_s, _) = run_precomputed_with_chunk(&xor, 7);
+        assert_eq!(total, 0);
+        assert_eq!(streamed.label, whole.label);
+        assert_eq!(streamed.wire, whole.wire);
+        assert_eq!(str_s.wire, whole_s.wire);
+        assert_eq!(whole.peak_material_bytes, 0);
+        assert_eq!(whole_s.peak_material_bytes, 0);
     }
 
     #[test]
-    fn streamed_online_run_with_precomputed_material_matches_buffered() {
+    fn streamed_online_run_with_precomputed_material_matches_whole_cycle_chunk() {
         // The pool's precomputed path, streamed: same bytes per phase,
         // same label; the evaluator side still only holds O(chunk).
         let compiled = mac_compiled();
-        let run = |chunk_gates: usize| {
-            let cfg = InferenceConfig {
-                chunk_gates,
-                ..InferenceConfig::default()
-            };
-            let (mut cc, mut cs) = mem_pair();
-            let epoch = Instant::now();
-            let server = ServerSession::new(Arc::clone(&compiled), &cfg);
-            let handle = std::thread::spawn(move || {
-                let mut setup = server.setup(&mut cs).unwrap();
-                server
-                    .run_online(&mut cs, &mut setup, &[vec![true; 16]], epoch)
-                    .unwrap()
-            });
-            let client = ClientSession::new(Arc::clone(&compiled), &cfg);
-            let mut setup = client.setup(&mut cc, epoch).unwrap();
-            let mut rng = StdRng::seed_from_u64(11);
-            let material = GarbledMaterial::garble(&compiled, 1, &mut rng);
-            let total = material.table_bytes();
-            let cout = client
-                .run_online(&mut cc, &mut setup, material, &[vec![true; 17]], epoch)
-                .unwrap();
-            let sout = handle.join().unwrap();
-            (cout, sout, total)
-        };
-        let (b_c, b_s, total) = run(0);
-        let (s_c, s_s, _) = run(5);
+        let (b_c, b_s, total) = run_precomputed_with_chunk(&compiled, 0);
+        let (s_c, s_s, _) = run_precomputed_with_chunk(&compiled, 5);
         assert_eq!(s_c.label, b_c.label);
         assert_eq!(s_c.wire, b_c.wire);
         assert_eq!(s_s.wire, b_s.wire);
@@ -1503,7 +1402,7 @@ mod tests {
     fn multicore_run_is_wire_identical_to_sequential_per_phase() {
         // threads is a pure perf knob: the same seeds must move the same
         // per-phase wire bytes and decode the same labels at any worker
-        // count, buffered and streamed.
+        // count, at a whole-cycle chunk and at a small one.
         let run = |threads: usize, chunk_gates: usize| {
             let compiled = mac_compiled();
             let cfg = InferenceConfig {

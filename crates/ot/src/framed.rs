@@ -18,6 +18,13 @@ use crate::channel::{Channel, ChannelError};
 /// framing (e.g. a raw-stream peer), not a real message.
 pub const MAX_FRAME_LEN: u32 = 1 << 30;
 
+/// Upper bound on a handshake frame's payload. Handshakes are short text
+/// lines sent before the peer is known; checking the header against this
+/// cap before any payload buffer exists keeps an unauthenticated peer
+/// from making the receiver allocate, and wait for, up to
+/// [`MAX_FRAME_LEN`] bytes.
+pub const MAX_HANDSHAKE_FRAME_LEN: u32 = 4 << 10;
+
 /// A framing wrapper over any byte channel.
 ///
 /// Byte counters delegate to the wrapped channel and therefore include the
@@ -66,6 +73,21 @@ impl<C: Channel> FramedChannel<C> {
     /// next header would then be read past buffered data, silently
     /// reordering the stream.
     pub fn recv_frame(&mut self) -> Result<Vec<u8>, ChannelError> {
+        self.recv_frame_capped(MAX_FRAME_LEN)
+    }
+
+    /// Receives one whole handshake frame: [`FramedChannel::recv_frame`]
+    /// with the payload capped at [`MAX_HANDSHAKE_FRAME_LEN`], enforced
+    /// on the header before the payload is allocated or read.
+    ///
+    /// # Errors
+    ///
+    /// As [`FramedChannel::recv_frame`], plus a header above the cap.
+    pub fn recv_handshake_frame(&mut self) -> Result<Vec<u8>, ChannelError> {
+        self.recv_frame_capped(MAX_HANDSHAKE_FRAME_LEN)
+    }
+
+    fn recv_frame_capped(&mut self, cap: u32) -> Result<Vec<u8>, ChannelError> {
         if !self.inbox.is_empty() {
             return Err(ChannelError::msg(format!(
                 "receiving frame: {} byte-stream bytes still buffered from a partial \
@@ -73,17 +95,18 @@ impl<C: Channel> FramedChannel<C> {
                 self.inbox.len()
             )));
         }
-        self.recv_frame_raw()
+        self.recv_frame_raw(cap)
     }
 
-    /// Reads the next frame off the wire, ignoring the inbox (the
-    /// byte-stream `recv` appends to the inbox, so ordering holds there).
-    fn recv_frame_raw(&mut self) -> Result<Vec<u8>, ChannelError> {
+    /// Reads the next frame (payload at most `cap` bytes) off the wire,
+    /// ignoring the inbox (the byte-stream `recv` appends to the inbox, so
+    /// ordering holds there).
+    fn recv_frame_raw(&mut self, cap: u32) -> Result<Vec<u8>, ChannelError> {
         let header = self.inner.recv(4)?;
         let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-        if len > MAX_FRAME_LEN {
+        if len > cap {
             return Err(ChannelError::msg(format!(
-                "receiving frame: header claims {len} bytes (cap {MAX_FRAME_LEN}) — \
+                "receiving frame: header claims {len} bytes (cap {cap}) — \
                  corrupt framing or an unframed peer"
             )));
         }
@@ -108,7 +131,7 @@ impl<C: Channel> Channel for FramedChannel<C> {
 
     fn recv(&mut self, n: usize) -> Result<Vec<u8>, ChannelError> {
         while self.inbox.len() < n {
-            let frame = self.recv_frame_raw()?;
+            let frame = self.recv_frame_raw(MAX_FRAME_LEN)?;
             self.inbox.extend(frame);
         }
         Ok(self.inbox.drain(..n).collect())
@@ -170,6 +193,21 @@ mod tests {
         a.send(&u32::MAX.to_le_bytes()).unwrap();
         let err = fb.recv_frame().unwrap_err();
         assert!(err.to_string().contains("corrupt framing"), "{err}");
+    }
+
+    #[test]
+    fn handshake_frames_are_capped_before_the_payload_is_read() {
+        let (mut a, b) = mem_pair();
+        let mut fb = FramedChannel::new(b);
+        let cap = MAX_HANDSHAKE_FRAME_LEN as usize;
+        a.send(&(cap as u32).to_le_bytes()).unwrap();
+        a.send(&vec![7u8; cap]).unwrap();
+        assert_eq!(fb.recv_handshake_frame().unwrap().len(), cap);
+        // Only a header claiming 512 MiB: rejected at once, without
+        // waiting for (or allocating) a payload that never comes.
+        a.send(&(512u32 << 20).to_le_bytes()).unwrap();
+        let err = fb.recv_handshake_frame().unwrap_err();
+        assert!(err.to_string().contains("cap 4096"), "{err}");
     }
 
     proptest! {

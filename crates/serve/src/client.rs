@@ -151,8 +151,8 @@ pub struct ServeClient {
     /// reconnect could not resume and opened a fresh session).
     pub session_id: u64,
     /// Table-chunk size the server pinned in its `OK` frame (non-free
-    /// gates per chunk; `0` = buffered). The evaluator adopts it so both
-    /// sides derive identical chunk boundaries.
+    /// gates per chunk; `0` = one whole-cycle chunk). The evaluator
+    /// adopts it so both sides derive identical chunk boundaries.
     pub chunk_gates: usize,
     /// Wall-clock cost of connect + handshake + base-OT setup, seconds —
     /// the per-session offline cost.
@@ -287,8 +287,8 @@ fn establish(
                     None => proto::hello(model_name, fingerprint),
                 };
                 framed.send_frame(hello.as_bytes())?;
-                let reply =
-                    proto::parse_reply(&framed.recv_frame()?).map_err(ServeError::Handshake)?;
+                let reply = proto::parse_reply(&framed.recv_handshake_frame()?)
+                    .map_err(ServeError::Handshake)?;
                 Ok((framed, reply))
             })();
         match handshake {

@@ -11,9 +11,9 @@
 //! 2. server → `OK <session-id> <chunk-gates> <token:016x>`,
 //!    `DSRV/2 BUSY <retry-after-ms>`, or `ERR <reason>` (framed).
 //!    `chunk-gates` is the server-chosen table-chunk size the client must
-//!    evaluate with (`0` = buffered whole-cycle transfer); pinning it in
-//!    the handshake is what lets chunk boundaries be *derived* instead of
-//!    framed, keeping streamed wire bytes identical to buffered ones.
+//!    evaluate with (`0` = one chunk that holds the whole cycle); pinning
+//!    it in the handshake is what lets chunk boundaries be *derived*
+//!    instead of framed, keeping every chunking's wire bytes identical.
 //!    `token` is an opaque resumption credential for step 1's RESUME
 //!    path. `BUSY` is the shed reply: the server's admission queue is
 //!    full and the client should back off for the advertised hint rather
@@ -51,7 +51,7 @@ pub enum Reply {
     Accepted {
         /// Server-assigned session id.
         session_id: u64,
-        /// Non-free gates per table chunk (`0` = buffered).
+        /// Non-free gates per table chunk (`0` = one whole-cycle chunk).
         chunk_gates: usize,
         /// Opaque credential for a later `RESUME` hello.
         token: u64,

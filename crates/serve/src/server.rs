@@ -61,12 +61,13 @@ pub struct ServeConfig {
     pub idle_timeout: Option<Duration>,
     /// Pool / protocol randomness seed.
     pub seed: u64,
-    /// Non-free gates per garbled-table chunk on every session (`0` =
-    /// buffered whole-cycle transfer). The server pins the value in its
-    /// `OK` handshake frame, so clients always evaluate with matching
-    /// chunk boundaries. Streaming keeps per-session resident material at
-    /// O(chunk) and overlaps transfer with evaluation (and, for models
-    /// above the pool's material cap, with garbling itself).
+    /// Non-free gates per garbled-table chunk on every session. There is
+    /// no buffered mode: `0` (the default) means one chunk that holds the
+    /// whole cycle. The server pins the value in its `OK` handshake frame,
+    /// so clients always evaluate with matching chunk boundaries.
+    /// Streaming keeps per-session resident material at O(chunk) and
+    /// overlaps transfer with evaluation (and, for models above the pool's
+    /// material cap, with garbling itself).
     pub chunk_gates: usize,
     /// Worker threads: the shard count of the accept loop, the pool's
     /// fill-worker count, and each session's garbling/modexp pool width.
@@ -647,7 +648,9 @@ fn serve_session(
     let conn = stream.try_clone()?;
     let chan = TcpChannel::from_stream(stream)?;
     let mut framed = FramedChannel::new(chan);
-    let hello_frame = framed.recv_frame()?;
+    // Capped before the payload is allocated: this peer is not yet
+    // authenticated.
+    let hello_frame = framed.recv_handshake_frame()?;
     let hello = match proto::parse_hello(&hello_frame) {
         Ok(parsed) => parsed,
         Err(m) => {

@@ -57,8 +57,8 @@ pub struct ServeStats {
     /// Per-session setup latency distribution, microseconds.
     pub setup_us: HistSnapshot,
     /// High-water mark, across all requests, of garbled-table bytes one
-    /// session held at once — O(cycle tables) when serving buffered,
-    /// O(chunk) when streaming. The measured number behind the streaming
+    /// session held at once — O(chunk), one cycle's tables at
+    /// `chunk_gates = 0`. The measured number behind the streaming
     /// pipeline's constant-memory claim, printed at shutdown.
     pub peak_material_bytes: u64,
     /// Requests per model.

@@ -128,8 +128,9 @@ fn four_concurrent_clients_match_replays_and_reports_are_independent() {
 fn chunk_streamed_serving_is_wire_identical_and_chunk_resident() {
     // A streaming server (chunked tables pinned in the OK frame): clients
     // adopt the chunk size, labels and per-phase online wire bytes stay
-    // bit-identical to the buffered in-memory replay, and the evaluator's
-    // peak resident material is one chunk instead of a whole cycle.
+    // bit-identical to the whole-cycle-chunk in-memory replay, and the
+    // evaluator's peak resident material is one chunk instead of a whole
+    // cycle.
     const CHUNK: usize = 512;
     let server = Server::bind(&ServeConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -169,8 +170,8 @@ fn chunk_streamed_serving_is_wire_identical_and_chunk_resident() {
     );
     assert_eq!(out.label, oracle);
     assert_eq!(out.label, replay.label);
-    // Streaming reorders, never adds: per-phase bytes match the buffered
-    // replay exactly.
+    // Chunking never adds bytes: per-phase bytes match the whole-cycle
+    // chunk replay exactly.
     assert_eq!(out.wire.ot_ext, replay.wire.ot_ext);
     assert_eq!(out.wire.tables, replay.wire.tables);
     assert_eq!(out.wire.input_labels, replay.wire.input_labels);

@@ -1,11 +1,17 @@
 //! Resilience end-to-end tests: scripted connection drops at distinct
 //! protocol phases resumed with zero extra base-OT traffic, `BUSY`
-//! shedding under admission limits, and accepted-latency stability at
-//! 2× saturation.
+//! shedding under admission limits, accepted-latency stability at 2×
+//! saturation, and prompt rejection of an oversized handshake frame.
+//!
+//! The tests run one at a time (see [`serial`]): the saturation test
+//! compares a latency baseline with a burst taken seconds later, which
+//! another test's servers loading the same cores in between would skew.
 
-use std::sync::Arc;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use deepsecure_core::compile::plain_label;
 use deepsecure_core::protocol::run_compiled;
@@ -14,6 +20,13 @@ use deepsecure_serve::demo;
 use deepsecure_serve::server::{ServeConfig, Server, ServerHandle};
 use deepsecure_serve::stats::ServeStats;
 use deepsecure_serve::ServeError;
+
+/// Serializes the tests of this binary. A failed test poisons the lock;
+/// the next one recovers the guard, so one failure does not cascade.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 fn start_server(config: ServeConfig) -> (ServerHandle, thread::JoinHandle<ServeStats>) {
     let server = Server::bind(&config).expect("bind");
@@ -55,20 +68,28 @@ fn scripted_drops_at_three_phases_resume_with_zero_extra_base_ot() {
     // Each time the client must reconnect, RESUME its OT-extension state
     // (same session ID, zero additional base-OT wire bytes), and decode
     // the bit-identical label.
+    let _serial = serial();
     let (handle, join) = start_server(base_config());
     let addr = handle.local_addr().to_string();
     let model = ClientModel::load("tiny_mlp").expect("model");
     let rep = replay(&model);
 
     // (offset into the query's operation stream, phase being killed)
-    // 0 = the sample-index send; 4 = the garbled-table recv (after
-    // consts + initial registers); measured-1 = the final label recv.
-    // All three sit at OT-extension batch boundaries, so the state is
-    // resumable — a drop *inside* the extension batch falls back to a
-    // fresh setup instead (covered by the loadgen chaos path).
+    // 0 = the sample-index send; TABLE_RECV = the garbled-table recv;
+    // measured-1 = the final label recv. Tables travel after the labels
+    // and the OT extension: ops 1-3 receive the constants and initial
+    // registers, op 4 the garbler's input labels, then the extension
+    // batch sends one u column per IKNP base OT (κ = 128) and receives
+    // the masked label pairs in one op — so the (single, at the default
+    // whole-cycle chunk) table recv is op 4 + 128 + 2. All three sit at
+    // OT-extension batch boundaries, so the state is resumable — a drop
+    // *inside* the extension batch falls back to a fresh setup instead
+    // (covered by the loadgen chaos path).
+    const KAPPA: u64 = 128;
+    const TABLE_RECV: u64 = 4 + KAPPA + 2;
     let phases: [(Option<u64>, &str); 3] = [
         (Some(0), "request dispatch"),
-        (Some(4), "table transfer"),
+        (Some(TABLE_RECV), "table transfer"),
         (None, "output decode"), // resolved to D-1 after calibration
     ];
     for (offset, phase) in phases {
@@ -145,6 +166,7 @@ fn scripted_drops_at_three_phases_resume_with_zero_extra_base_ot() {
 
 #[test]
 fn model_session_cap_sheds_with_busy_and_clients_back_off() {
+    let _serial = serial();
     let (handle, join) = start_server(ServeConfig {
         model_session_cap: Some(1),
         retry_after_ms: 25,
@@ -232,6 +254,7 @@ fn saturation_sheds_busy_and_keeps_accepted_latency_stable() {
     // and the loaded burst measure the same work — with a pool, whether a
     // query hits pre-garbled stock dominates the latency and drowns the
     // signal this test is after.
+    let _serial = serial();
     let (handle, join) = start_server(ServeConfig {
         model_session_cap: Some(1),
         retry_after_ms: 10,
@@ -321,6 +344,56 @@ fn saturation_sheds_busy_and_keeps_accepted_latency_stable() {
     assert_eq!(stats.sessions_completed as usize, 4 + completed.len());
 }
 
+#[test]
+fn oversized_hello_header_is_rejected_at_once_and_the_server_keeps_serving() {
+    // An unauthenticated peer sends only a frame header claiming 512 MiB.
+    // The server must refuse it from the header alone — an ERR frame or
+    // a close within 1 s — instead of allocating the payload and waiting
+    // out the idle timeout for bytes that never come; then serve a normal
+    // client.
+    let _serial = serial();
+    let (handle, join) = start_server(ServeConfig {
+        pool_target: 1,
+        ..base_config()
+    });
+    let addr = handle.local_addr().to_string();
+
+    let mut raw = TcpStream::connect(&addr).expect("raw connect");
+    raw.set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("read timeout");
+    let t0 = Instant::now();
+    raw.write_all(&(512u32 << 20).to_le_bytes())
+        .expect("send header");
+    let mut reply = Vec::new();
+    match raw.read_to_end(&mut reply) {
+        Ok(_) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        Err(e) => panic!("no ERR frame or close within {:?}: {e}", t0.elapsed()),
+    }
+    assert!(t0.elapsed() < Duration::from_secs(1));
+    if !reply.is_empty() {
+        assert!(
+            reply.len() > 4 && reply[4..].starts_with(b"ERR"),
+            "expected an ERR frame, got {reply:?}"
+        );
+    }
+
+    let model = ClientModel::load("tiny_mlp").expect("model");
+    let mut client =
+        ServeClient::connect(&addr, &model, 43, Duration::from_secs(10)).expect("connect");
+    let out = client.query(0).expect("query");
+    let oracle = plain_label(
+        &model.demo.compiled,
+        &model.demo.net,
+        &model.demo.dataset.inputs[0],
+    );
+    assert_eq!(out.label, oracle);
+    client.finish().expect("finish");
+    handle.shutdown();
+    let stats = join.join().unwrap();
+    assert_eq!(stats.sessions_completed, 1);
+}
+
 mod prop {
     use super::*;
     use proptest::prelude::*;
@@ -338,6 +411,7 @@ mod prop {
             ops_from_end in 1u64..=3,
             sample in 0usize..4,
         ) {
+            let _serial = serial();
             let (handle, join) = start_server(ServeConfig {
                 chunk_gates: 2048,
                 ..base_config()

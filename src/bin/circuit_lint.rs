@@ -48,7 +48,8 @@ exit codes (stable — CI pipelines may rely on them):
 structural errors (errors always fail).
 
 --chunk-gates takes a comma-separated list of streaming chunk sizes for
-the peak-resident-table prediction (default 0,1024,8192; 0 = buffered).
+the peak-resident-table prediction (default 0,1024,8192; 0 = one chunk
+holding the whole cycle).
 
 --src-lint scans crates/{ot,core,serve}/src and vendor/telemetry/src
 under ROOT for unwrap()/expect()/panic! outside comments, strings and #[cfg(test)]

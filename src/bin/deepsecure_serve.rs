@@ -33,7 +33,7 @@ usage:
                  mnist_mlp is the paper-scale one)
   --pool         precomputed instances kept warm per queue (default 2)
   --chunk-gates  stream garbled tables in chunks of N non-free gates
-                 (0 = buffered whole-cycle transfer, the default). The
+                 (0 = one chunk holding the whole cycle, the default). The
                  server pins the value in its OK frame; evaluators adopt
                  it. Models above the pool's 64 MiB material cap garble
                  live while streaming — O(chunk) resident per session

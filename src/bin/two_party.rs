@@ -65,15 +65,15 @@ need not agree and --check passes at any combination.
 (garble a chunk, send a chunk): garbling, transfer, and evaluation
 overlap, and neither process ever holds more than one chunk of tables
 (run mnist_mlp under `ulimit -v` to see the difference). 0 (default)
-buffers each cycle whole. The garbler picks; the handshake pins the
-value for both processes. Chunking never changes what crosses the wire
-— only when.
+is one chunk that holds the whole cycle. The garbler picks; the
+handshake pins the value for both processes. Chunking never changes
+what crosses the wire — only when.
 
 `--check` makes the garbler replay the run in-memory (both parties as
 threads) and fail unless the decoded label and the wire-byte totals
-match the TCP run; with --chunk-gates it additionally replays the
-buffered path and fails unless the streamed run moved bit-identical
-per-phase wire bytes.
+match the TCP run; with --chunk-gates it additionally replays a
+whole-cycle chunk (--chunk-gates 0) and fails unless the two chunkings
+moved bit-identical per-phase wire bytes.
 
 --sim lan|wan wraps this endpoint's TCP channel in the simulated link
 model after the handshake (LAN: 1 Gbps, 1 ms one-way; WAN: 40 Mbps,
@@ -266,7 +266,7 @@ fn run_garbler(cli: &Cli, model: &DemoModel) -> Result<(), String> {
         )
         .map_err(|e| format!("handshake send: {e}"))?;
     let reply = framed
-        .recv_frame()
+        .recv_handshake_frame()
         .map_err(|e| format!("handshake reply: {e}"))?;
     let reply = String::from_utf8_lossy(&reply).into_owned();
     if reply != format!("OK {fingerprint:016x}") {
@@ -357,30 +357,30 @@ fn run_garbler(cli: &Cli, model: &DemoModel) -> Result<(), String> {
                 out.wire, report.wire
             ));
         }
-        // A streamed run must also be provably identical to the buffered
-        // path: replay with chunking off and compare label + every phase.
+        // A chunked run must also be provably identical to a whole-cycle
+        // chunk: replay at chunk 0 and compare label + every phase.
         if cli.chunk_gates > 0 {
-            let buffered_cfg = InferenceConfig {
+            let whole_cfg = InferenceConfig {
                 chunk_gates: 0,
                 ..cfg.clone()
             };
-            let buffered = run_compiled(
+            let whole = run_compiled(
                 Arc::clone(&compiled),
                 vec![input_bits],
                 vec![weight_bits],
-                &buffered_cfg,
+                &whole_cfg,
             )
-            .map_err(|e| format!("buffered in-memory replay: {e}"))?;
-            if out.label != buffered.label {
+            .map_err(|e| format!("whole-cycle-chunk in-memory replay: {e}"))?;
+            if out.label != whole.label {
                 fail.push(format!(
-                    "label: streamed {} != buffered {}",
-                    out.label, buffered.label
+                    "label: chunk {} gave {} != whole-cycle chunk {}",
+                    cli.chunk_gates, out.label, whole.label
                 ));
             }
-            if out.wire != buffered.wire {
+            if out.wire != whole.wire {
                 fail.push(format!(
-                    "wire breakdown: streamed {:?} != buffered {:?}",
-                    out.wire, buffered.wire
+                    "wire breakdown: chunk {} {:?} != whole-cycle chunk {:?}",
+                    cli.chunk_gates, out.wire, whole.wire
                 ));
             }
         }
@@ -390,7 +390,7 @@ fn run_garbler(cli: &Cli, model: &DemoModel) -> Result<(), String> {
                 out.label,
                 out.sent + out.received,
                 if cli.chunk_gates > 0 {
-                    " (and to the buffered path, phase for phase)"
+                    " (and to a whole-cycle chunk, phase for phase)"
                 } else {
                     ""
                 }
@@ -418,7 +418,9 @@ fn run_evaluator(cli: &Cli, model: &DemoModel) -> Result<(), String> {
     let chan = TcpChannel::accept(&listener).map_err(|e| format!("accepting garbler: {e}"))?;
     eprintln!("evaluator: garbler connected from {}", chan.peer_addr());
     let mut framed = FramedChannel::new(chan);
-    let hello = framed.recv_frame().map_err(|e| format!("handshake: {e}"))?;
+    let hello = framed
+        .recv_handshake_frame()
+        .map_err(|e| format!("handshake: {e}"))?;
     let hello = String::from_utf8_lossy(&hello).into_owned();
     // `PREFIX model fingerprint chunk-gates`: the shape must match this
     // process exactly; the chunking is the garbler's to choose and is

@@ -1,8 +1,8 @@
-//! Streaming-equivalence integration tests: the chunk-streamed pipeline
-//! must be observably identical to the buffered one — same decoded
-//! labels, same per-phase wire bytes — on random circuits across chunk
-//! sizes (including 1 gate and larger than the circuit), on the demo
-//! model, and across the cycles of a sequential circuit. What changes is
+//! Streaming-equivalence integration tests: every chunking must be
+//! observably identical to a whole-cycle chunk (`chunk_gates = 0`) — same
+//! decoded labels, same per-phase wire bytes — on random circuits across
+//! chunk sizes (including 1 gate and larger than the circuit), on the
+//! demo model, and across the cycles of a sequential circuit. What changes is
 //! *when* bytes move and how many table bytes are ever resident, which
 //! the peak-material measurements pin down.
 
@@ -29,24 +29,25 @@ fn cfg_with_chunk(chunk_gates: usize) -> InferenceConfig {
     }
 }
 
-/// Wire totals and label must match; streaming only reorders.
-fn assert_equivalent(streamed: &InferenceReport, buffered: &InferenceReport, what: &str) {
-    assert_eq!(streamed.label, buffered.label, "{what}: label");
+/// Wire totals and label must match; chunking only changes when bytes
+/// move.
+fn assert_equivalent(streamed: &InferenceReport, whole: &InferenceReport, what: &str) {
+    assert_eq!(streamed.label, whole.label, "{what}: label");
     assert_eq!(
-        streamed.cycle_labels, buffered.cycle_labels,
+        streamed.cycle_labels, whole.cycle_labels,
         "{what}: cycle labels"
     );
-    assert_eq!(streamed.wire, buffered.wire, "{what}: per-phase wire bytes");
+    assert_eq!(streamed.wire, whole.wire, "{what}: per-phase wire bytes");
     assert_eq!(
-        streamed.client_sent, buffered.client_sent,
+        streamed.client_sent, whole.client_sent,
         "{what}: client bytes"
     );
     assert_eq!(
-        streamed.server_sent, buffered.server_sent,
+        streamed.server_sent, whole.server_sent,
         "{what}: server bytes"
     );
     assert_eq!(
-        streamed.material_bytes, buffered.material_bytes,
+        streamed.material_bytes, whole.material_bytes,
         "{what}: table bytes"
     );
 }
@@ -59,8 +60,8 @@ proptest! {
         input_seed in 0u64..1u64 << 48,
     ) {
         // Random mixed-gate circuit through the *real* protocol (base OT,
-        // IKNP, channels) — buffered versus chunk sizes 1, 5, and one far
-        // larger than the circuit.
+        // IKNP, channels) — a whole-cycle chunk versus chunk sizes 1, 5,
+        // and one far larger than the circuit.
         let mut rng = StdRng::seed_from_u64(circuit_seed);
         let mut b = Builder::new();
         let ng = rng.gen_range(1..4);
@@ -90,13 +91,13 @@ proptest! {
         let g: Vec<bool> = (0..ng).map(|_| in_rng.gen()).collect();
         let e: Vec<bool> = (0..ne).map(|_| in_rng.gen()).collect();
 
-        let (bits_buf, buffered) = run_circuit(&circuit, &g, &e, &cfg_with_chunk(0)).unwrap();
-        prop_assert_eq!(&bits_buf, &circuit.eval(&g, &e), "buffered vs plaintext");
+        let (bits_whole, whole) = run_circuit(&circuit, &g, &e, &cfg_with_chunk(0)).unwrap();
+        prop_assert_eq!(&bits_whole, &circuit.eval(&g, &e), "whole-cycle chunk vs plaintext");
         for chunk in [1usize, 5, 1 << 22] {
             let (bits_str, streamed) =
                 run_circuit(&circuit, &g, &e, &cfg_with_chunk(chunk)).unwrap();
-            prop_assert_eq!(&bits_str, &bits_buf, "chunk {}", chunk);
-            assert_equivalent(&streamed, &buffered, &format!("chunk {chunk}"));
+            prop_assert_eq!(&bits_str, &bits_whole, "chunk {}", chunk);
+            assert_equivalent(&streamed, &whole, &format!("chunk {chunk}"));
         }
     }
 }
@@ -104,7 +105,7 @@ proptest! {
 #[test]
 fn sequential_multi_cycle_streams_identically() {
     // The folded MAC over 4 clock cycles: register labels latch across
-    // chunk-streamed cycles exactly as across buffered ones, and every
+    // small-chunk cycles exactly as across whole-cycle chunks, and every
     // cycle's decoded value matches.
     let compiled = Arc::new(Compiled {
         circuit: folded_mac(&CompileOptions::default()),
@@ -118,14 +119,14 @@ fn sequential_multi_cycle_streams_identically() {
     let e_bits: Vec<Vec<bool>> = (0..n)
         .map(|i| (0..16).map(|j| (i * j) % 2 == 1).collect())
         .collect();
-    let buffered = run_compiled(
+    let whole = run_compiled(
         Arc::clone(&compiled),
         g_bits.clone(),
         e_bits.clone(),
         &cfg_with_chunk(0),
     )
     .unwrap();
-    assert_eq!(buffered.cycle_labels.len(), n);
+    assert_eq!(whole.cycle_labels.len(), n);
     for chunk in [1usize, 64, 1 << 22] {
         let streamed = run_compiled(
             Arc::clone(&compiled),
@@ -134,15 +135,15 @@ fn sequential_multi_cycle_streams_identically() {
             &cfg_with_chunk(chunk),
         )
         .unwrap();
-        assert_equivalent(&streamed, &buffered, &format!("folded_mac chunk {chunk}"));
+        assert_equivalent(&streamed, &whole, &format!("folded_mac chunk {chunk}"));
         if chunk == 64 {
-            // 4 cycles buffered hold a full cycle each; streamed holds one
-            // 64-gate chunk.
+            // 4 whole-cycle chunks hold a full cycle each; streamed holds
+            // one 64-gate chunk.
             assert!(
-                streamed.peak_material_bytes < buffered.peak_material_bytes,
-                "streamed peak {} must undercut buffered {}",
+                streamed.peak_material_bytes < whole.peak_material_bytes,
+                "streamed peak {} must undercut whole-cycle chunk {}",
                 streamed.peak_material_bytes,
-                buffered.peak_material_bytes
+                whole.peak_material_bytes
             );
             assert_eq!(streamed.peak_material_bytes, 64 * 32);
         }
@@ -152,8 +153,9 @@ fn sequential_multi_cycle_streams_identically() {
 #[test]
 fn demo_model_streams_identically_over_tcp() {
     // The tiny_mlp zoo model over real loopback sockets, streamed in
-    // 4096-gate chunks versus buffered in memory: same label, same wire,
-    // peak resident material equal to exactly one chunk on both sides.
+    // 4096-gate chunks versus a whole-cycle chunk in memory: same label,
+    // same wire, peak resident material equal to exactly one chunk on both
+    // sides.
     use deepsecure::core::protocol::run_compiled_over;
     use deepsecure::ot::tcp_pair;
     use deepsecure::serve::demo;
@@ -161,16 +163,16 @@ fn demo_model_streams_identically_over_tcp() {
     let model = demo::load("tiny_mlp").expect("model");
     let g_bits = vec![model.compiled.input_bits(&model.dataset.inputs[0])];
     let e_bits = vec![model.compiled.weight_bits(&model.net)];
-    let buffered = run_compiled(
+    let whole = run_compiled(
         Arc::clone(&model.compiled),
         g_bits.clone(),
         e_bits.clone(),
         &cfg_with_chunk(0),
     )
-    .expect("buffered run");
+    .expect("whole-cycle chunk run");
     assert_eq!(
-        buffered.peak_material_bytes, buffered.material_bytes,
-        "buffered holds the whole cycle"
+        whole.peak_material_bytes, whole.material_bytes,
+        "a whole-cycle chunk holds the whole cycle"
     );
 
     const CHUNK: usize = 4096;
@@ -184,11 +186,11 @@ fn demo_model_streams_identically_over_tcp() {
         cb,
     )
     .expect("streamed run");
-    assert_equivalent(&streamed, &buffered, "tiny_mlp tcp chunk 4096");
+    assert_equivalent(&streamed, &whole, "tiny_mlp tcp chunk 4096");
     assert_eq!(
         streamed.peak_material_bytes,
         (CHUNK * 32) as u64,
         "exactly one chunk resident"
     );
-    assert!(streamed.peak_material_bytes * 100 < buffered.peak_material_bytes);
+    assert!(streamed.peak_material_bytes * 100 < whole.peak_material_bytes);
 }
